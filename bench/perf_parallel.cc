@@ -3,15 +3,15 @@
  * Serial-vs-parallel throughput of the batch attack engine.
  *
  * Sweeps a 1000-record fingerprint database with both the serial
- * Algorithm 2 scan and the batch APIs (thread-pool sharding plus
- * the bounded distance kernel), verifies the parallel results are
- * bit-identical to serial, and reports the speedup — the trackable
- * perf metric for this reproduction's attacker hot path. Also
- * times parallel characterization and batched stitching ingest.
+ * dense Algorithm 2 scan and the candidate engine's pooled paths
+ * (FingerprintStore::queryBatch across the pool, and a single
+ * query whose fallback scan is sharded), verifies the engine's
+ * results are bit-identical to serial, and reports the speedup —
+ * the trackable perf metric for this reproduction's attacker hot
+ * path. Also times parallel characterization and batched stitching
+ * ingest.
  */
 
-// Times the raw serial/parallel kernels against each other.
-#define PCAUSE_ALLOW_DEPRECATED_IDENTIFY
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -21,6 +21,7 @@
 #include "core/characterize.hh"
 #include "core/identify.hh"
 #include "core/stitcher.hh"
+#include "core/store.hh"
 #include "dram/modeled_dram.hh"
 #include "os/page.hh"
 #include "util/csv.hh"
@@ -108,10 +109,12 @@ main()
         serial.push_back(identifyErrorString(es, db, params));
     const double serial_secs = now() - t_serial;
 
+    FingerprintStore store = FingerprintStore::fromDb(db);
+    store.setThreadPool(&pool);
     AttackStats stats;
     const double t_par = now();
     const std::vector<IdentifyResult> parallel =
-        identifyErrorStringBatch(queries, db, params, &pool, &stats);
+        store.queryBatch(queries, params, &stats);
     const double par_secs = now() - t_par;
 
     std::size_t mismatches = 0;
@@ -125,8 +128,8 @@ main()
         identifyErrorString(queries[1], db, params);
     const double one_serial_secs = now() - t_one_serial;
     const double t_one_par = now();
-    const IdentifyResult one_par = identifyErrorStringParallel(
-        queries[1], db, params, pool, &shard_stats);
+    const IdentifyResult one_par =
+        store.query(queries[1], params, &shard_stats);
     const double one_par_secs = now() - t_one_par;
     mismatches += !sameResult(one_serial, one_par);
 

@@ -78,7 +78,10 @@ SupplyChainAttacker::interceptChip(TestHarness &harness,
     Fingerprint fp = workers ? characterize(outputs, exact, *workers)
                              : characterize(outputs, exact);
     counters.characterizeSeconds += secondsSince(start);
-    return svc.addRecord(label, std::move(fp)).record;
+    const AttackService::AddOutcome added =
+        svc.addRecord(label, std::move(fp));
+    PC_ASSERT(added.added, added.error.c_str());
+    return added.record;
 }
 
 IdentifyResult

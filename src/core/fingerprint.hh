@@ -69,8 +69,8 @@ class Fingerprint
  * Read-only view of a collection of sparse fingerprints, indexed by
  * record id. Abstracts over where the position lists live — the
  * FingerprintStore's in-memory arena or an mmap-ed v3 database file
- * — so the sparse identification scans in core/identify run
- * unchanged against both.
+ * — so the candidate engine (core/candidate_engine) runs unchanged
+ * against both.
  */
 class SparseFingerprintSource
 {

@@ -1,16 +1,11 @@
-// This TU *is* the deprecated surface.
-#define PCAUSE_ALLOW_DEPRECATED_IDENTIFY
 #include "core/identify.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <limits>
 
 #include "core/error_string.hh"
 #include "util/logging.hh"
-#include "util/thread_pool.hh"
 
 namespace pcause
 {
@@ -35,318 +30,6 @@ FingerprintDb::record(std::size_t i)
     PC_ASSERT(i < records.size(), "FingerprintDb index out of range");
     return records[i];
 }
-
-namespace
-{
-
-/** Wall-clock scope timer accumulating into an AttackStats field. */
-class PhaseTimer
-{
-  public:
-    PhaseTimer(AttackStats *stats, double AttackStats::*field)
-        : out(stats), member(field),
-          start(std::chrono::steady_clock::now())
-    {
-    }
-
-    ~PhaseTimer()
-    {
-        if (out) {
-            out->*member += std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - start).count();
-        }
-    }
-
-  private:
-    AttackStats *out;
-    double AttackStats::*member;
-    std::chrono::steady_clock::time_point start;
-};
-
-/** What one contiguous database shard learned. */
-struct ScanOutcome
-{
-    /** Lowest record index under threshold, with its distance. */
-    std::optional<std::size_t> match;
-    double matchDist = 1.0;
-
-    /** First record achieving the shard's minimum distance. */
-    std::optional<std::size_t> nearest;
-    double nearestDist = 1.0;
-
-    /** Whether any distance fell under the threshold. */
-    bool anyUnderThreshold = false;
-
-    std::uint64_t computed = 0;
-    std::uint64_t pruned = 0;
-};
-
-/**
- * Distance with the metric-appropriate kernel: the bounded
- * Algorithm 3 scan when the metric supports it, the plain metric
- * otherwise.
- */
-double
-boundedDistance(const IdentifyParams &params, const BitVec &es,
-                std::size_t es_weight, const BitVec &fp, double bound,
-                bool *pruned)
-{
-    if (params.metric == DistanceMetric::ModifiedJaccard)
-        return modifiedJaccardBounded(es, es_weight, fp, bound,
-                                      pruned);
-    *pruned = false;
-    return distance(params.metric, es, fp);
-}
-
-/**
- * Scan records [begin, end) exactly as serial identify() visits
- * them, but through a bounded kernel @p distAt(i, bound, &pruned).
- * The bound is max(threshold, running best distance): any distance
- * the serial code would compare against the threshold or use to
- * update the running minimum is therefore computed exactly, and a
- * pruned evaluation returns a lower bound already above both, so
- * verdicts and reported distances match the unbounded scan bit for
- * bit — for every kernel (dense or sparse) honoring that contract.
- *
- * @p earliest_match, when non-null (first-match mode, sharded
- * scan), carries the lowest match index found by any shard; shards
- * whose remaining records all sit above it stop scanning, and a
- * shard finding a match publishes it.
- */
-template <typename DistAt>
-ScanOutcome
-scanRangeT(std::size_t begin, std::size_t end,
-           const IdentifyParams &params,
-           std::atomic<std::size_t> *earliest_match,
-           const DistAt &distAt)
-{
-    ScanOutcome out;
-    for (std::size_t i = begin; i < end; ++i) {
-        if (earliest_match &&
-            earliest_match->load(std::memory_order_relaxed) < i)
-            break;
-        const double bound =
-            std::max(params.threshold,
-                     out.nearest ? out.nearestDist : 1.0);
-        bool pruned = false;
-        const double d = distAt(i, bound, &pruned);
-        ++(pruned ? out.pruned : out.computed);
-        if (!out.nearest || d < out.nearestDist) {
-            out.nearest = i;
-            out.nearestDist = d;
-        }
-        if (d < params.threshold) {
-            out.anyUnderThreshold = true;
-            if (!out.match) {
-                out.match = i;
-                out.matchDist = d;
-            }
-            if (params.firstMatch) {
-                if (earliest_match) {
-                    std::size_t cur = earliest_match->load(
-                        std::memory_order_relaxed);
-                    while (i < cur &&
-                           !earliest_match->compare_exchange_weak(
-                               cur, i, std::memory_order_relaxed)) {
-                    }
-                }
-                break;
-            }
-        }
-    }
-    return out;
-}
-
-/**
- * scanRangeT() over an explicit index list instead of a contiguous
- * range: visits @p candidates in order through the bounded kernel
- * with the same bound policy, so verdicts match a serial scan of a
- * database containing exactly those records in that order.
- */
-template <typename DistAt>
-ScanOutcome
-scanIndicesT(const std::vector<std::size_t> &candidates,
-             const IdentifyParams &params, const DistAt &distAt)
-{
-    ScanOutcome out;
-    for (const std::size_t i : candidates) {
-        const double bound =
-            std::max(params.threshold,
-                     out.nearest ? out.nearestDist : 1.0);
-        bool pruned = false;
-        const double d = distAt(i, bound, &pruned);
-        ++(pruned ? out.pruned : out.computed);
-        if (!out.nearest || d < out.nearestDist) {
-            out.nearest = i;
-            out.nearestDist = d;
-        }
-        if (d < params.threshold) {
-            out.anyUnderThreshold = true;
-            if (!out.match) {
-                out.match = i;
-                out.matchDist = d;
-            }
-            if (params.firstMatch)
-                break;
-        }
-    }
-    return out;
-}
-
-/**
- * Dense bounded kernel bound to a FingerprintDb record. The query
- * operand's popcount is hashed once at construction, not once per
- * candidate (mirroring SparseDistAt).
- */
-struct DenseDistAt
-{
-    const BitVec &es;
-    std::size_t esWeight;
-    const FingerprintDb &db;
-    const IdentifyParams &params;
-
-    DenseDistAt(const BitVec &es_, const FingerprintDb &db_,
-                const IdentifyParams &params_)
-        : DenseDistAt(es_, es_.popcount(), db_, params_)
-    {
-    }
-
-    DenseDistAt(const BitVec &es_, std::size_t es_weight,
-                const FingerprintDb &db_,
-                const IdentifyParams &params_)
-        : es(es_), esWeight(es_weight), db(db_), params(params_)
-    {
-    }
-
-    double operator()(std::size_t i, double bound,
-                      bool *pruned) const
-    {
-        return boundedDistance(params, es, esWeight,
-                               db.record(i).fingerprint.bits(),
-                               bound, pruned);
-    }
-};
-
-/** Sparse Algorithm 3 kernel bound to a position-arena record. */
-struct SparseDistAt
-{
-    const BitVec &es;
-    std::size_t esWeight;
-    const SparseFingerprintSource &fps;
-
-    double operator()(std::size_t i, double bound,
-                      bool *pruned) const
-    {
-        return modifiedJaccardSparseBounded(es, esWeight,
-                                            fps.view(i), bound,
-                                            pruned);
-    }
-};
-
-ScanOutcome
-scanShard(const BitVec &es, const FingerprintDb &db,
-          std::size_t begin, std::size_t end,
-          const IdentifyParams &params,
-          std::atomic<std::size_t> *earliest_match)
-{
-    return scanRangeT(begin, end, params, earliest_match,
-                      DenseDistAt{es, db, params});
-}
-
-/** Convert a whole-range ScanOutcome to the Algorithm 2 result. */
-IdentifyResult
-outcomeToResult(const ScanOutcome &out, const IdentifyParams &params)
-{
-    IdentifyResult res;
-    if (params.firstMatch && out.match) {
-        // Algorithm 2 line 4: the first hit is the verdict.
-        res.match = out.match;
-        res.nearest = out.match;
-        res.bestDistance = out.matchDist;
-        return res;
-    }
-    res.nearest = out.nearest;
-    if (out.nearest)
-        res.bestDistance = out.nearestDist;
-    if (out.anyUnderThreshold)
-        res.match = res.nearest;
-    return res;
-}
-
-void
-mergeScanCounters(AttackStats *stats, const ScanOutcome &out)
-{
-    if (stats) {
-        stats->distancesComputed += out.computed;
-        stats->distancesPruned += out.pruned;
-    }
-}
-
-/**
- * Sharded full scan over records [0, n) with any bounded kernel:
- * the parallel core of identifyErrorStringParallel() /
- * identifySparseParallel(). Performs no timing of its own — public
- * entry points stamp wall time exactly once.
- */
-template <typename DistAt>
-IdentifyResult
-parallelScanT(std::size_t n, const IdentifyParams &params,
-              ThreadPool &pool, AttackStats *stats,
-              const DistAt &distAt)
-{
-    // Sharding overhead beats the scan itself on tiny databases.
-    if (pool.size() == 1 || n < 2 * pool.size()) {
-        const ScanOutcome out =
-            scanRangeT(0, n, params, nullptr, distAt);
-        mergeScanCounters(stats, out);
-        return outcomeToResult(out, params);
-    }
-
-    std::vector<ScanOutcome> shards(pool.size());
-    std::atomic<std::size_t> earliest(
-        std::numeric_limits<std::size_t>::max());
-    pool.parallelChunks(
-        0, n,
-        [&](std::size_t b, std::size_t e, std::size_t c) {
-            shards[c] = scanRangeT(b, e, params,
-                                   params.firstMatch ? &earliest
-                                                     : nullptr,
-                                   distAt);
-        });
-
-    for (const auto &s : shards)
-        mergeScanCounters(stats, s);
-
-    if (params.firstMatch) {
-        // Shards cover ascending index ranges; records below the
-        // first shard-local match were all scanned and missed, so
-        // the lowest shard's match is exactly serial line 4's hit.
-        for (const auto &s : shards) {
-            if (s.match) {
-                IdentifyResult res;
-                res.match = s.match;
-                res.nearest = s.match;
-                res.bestDistance = s.matchDist;
-                return res;
-            }
-        }
-    }
-
-    // Merge shard minima in ascending order with a strict compare,
-    // reproducing the serial "first record achieving the minimum".
-    ScanOutcome merged;
-    for (const auto &s : shards) {
-        if (s.nearest &&
-            (!merged.nearest || s.nearestDist < merged.nearestDist)) {
-            merged.nearest = s.nearest;
-            merged.nearestDist = s.nearestDist;
-        }
-        merged.anyUnderThreshold |= s.anyUnderThreshold;
-    }
-    return outcomeToResult(merged, params);
-}
-
-} // anonymous namespace
 
 IdentifyResult
 identifyErrorString(const BitVec &error_string, const FingerprintDb &db,
@@ -420,158 +103,6 @@ identifyWithData(const BitVec &approx, const BitVec &exact,
     if (res.match)
         res.match = res.nearest;
     return res;
-}
-
-IdentifyResult
-identifyAmong(const BitVec &error_string, const FingerprintDb &db,
-              const std::vector<std::size_t> &candidates,
-              const IdentifyParams &params, AttackStats *stats)
-{
-    return identifyAmong(error_string, error_string.popcount(), db,
-                         candidates, params, stats);
-}
-
-IdentifyResult
-identifyAmong(const BitVec &error_string, std::size_t es_weight,
-              const FingerprintDb &db,
-              const std::vector<std::size_t> &candidates,
-              const IdentifyParams &params, AttackStats *stats)
-{
-    const ScanOutcome out = scanIndicesT(
-        candidates, params,
-        DenseDistAt{error_string, es_weight, db, params});
-    mergeScanCounters(stats, out);
-    return outcomeToResult(out, params);
-}
-
-IdentifyResult
-identifySparseAmong(const BitVec &error_string, std::size_t es_weight,
-                    const SparseFingerprintSource &fps,
-                    const std::vector<std::size_t> &candidates,
-                    const IdentifyParams &params, AttackStats *stats)
-{
-    PC_ASSERT(params.metric == DistanceMetric::ModifiedJaccard,
-              "identifySparseAmong: sparse kernel is ModifiedJaccard "
-              "only");
-    const ScanOutcome out = scanIndicesT(
-        candidates, params,
-        SparseDistAt{error_string, es_weight, fps});
-    mergeScanCounters(stats, out);
-    return outcomeToResult(out, params);
-}
-
-IdentifyResult
-identifySparseBounded(const BitVec &error_string,
-                      std::size_t es_weight,
-                      const SparseFingerprintSource &fps,
-                      const IdentifyParams &params, AttackStats *stats)
-{
-    PC_ASSERT(params.metric == DistanceMetric::ModifiedJaccard,
-              "identifySparseBounded: sparse kernel is "
-              "ModifiedJaccard only");
-    const ScanOutcome out =
-        scanRangeT(0, fps.count(), params, nullptr,
-                   SparseDistAt{error_string, es_weight, fps});
-    mergeScanCounters(stats, out);
-    return outcomeToResult(out, params);
-}
-
-IdentifyResult
-identifySparseParallel(const BitVec &error_string,
-                       std::size_t es_weight,
-                       const SparseFingerprintSource &fps,
-                       const IdentifyParams &params, ThreadPool &pool,
-                       AttackStats *stats)
-{
-    PC_ASSERT(params.metric == DistanceMetric::ModifiedJaccard,
-              "identifySparseParallel: sparse kernel is "
-              "ModifiedJaccard only");
-    return parallelScanT(fps.count(), params, pool, stats,
-                         SparseDistAt{error_string, es_weight, fps});
-}
-
-IdentifyResult
-identifyErrorStringBounded(const BitVec &error_string,
-                           const FingerprintDb &db,
-                           const IdentifyParams &params,
-                           AttackStats *stats)
-{
-    const ScanOutcome out =
-        scanShard(error_string, db, 0, db.size(), params, nullptr);
-    mergeScanCounters(stats, out);
-    return outcomeToResult(out, params);
-}
-
-IdentifyResult
-identifyErrorStringParallel(const BitVec &error_string,
-                            const FingerprintDb &db,
-                            const IdentifyParams &params,
-                            ThreadPool &pool, AttackStats *stats)
-{
-    PhaseTimer timer(stats, &AttackStats::identifySeconds);
-    return parallelScanT(db.size(), params, pool, stats,
-                         DenseDistAt{error_string, db, params});
-}
-
-std::vector<IdentifyResult>
-identifyErrorStringBatch(const std::vector<BitVec> &error_strings,
-                         const FingerprintDb &db,
-                         const IdentifyParams &params,
-                         ThreadPool *pool, AttackStats *stats)
-{
-    if (!pool)
-        pool = &ThreadPool::global();
-    std::vector<IdentifyResult> results(error_strings.size());
-    if (error_strings.empty())
-        return results;
-
-    // Few queries: shard the database scan itself. Many queries:
-    // queries are independent, so spread them across the pool and
-    // keep each scan serial (better locality, no merge step).
-    if (error_strings.size() < pool->size()) {
-        for (std::size_t q = 0; q < error_strings.size(); ++q) {
-            results[q] = identifyErrorStringParallel(
-                error_strings[q], db, params, *pool, stats);
-        }
-        return results;
-    }
-
-    PhaseTimer timer(stats, &AttackStats::identifySeconds);
-    std::vector<ScanOutcome> totals(pool->size());
-    pool->parallelChunks(
-        0, error_strings.size(),
-        [&](std::size_t b, std::size_t e, std::size_t c) {
-            for (std::size_t q = b; q < e; ++q) {
-                const ScanOutcome out = scanShard(
-                    error_strings[q], db, 0, db.size(), params,
-                    nullptr);
-                results[q] = outcomeToResult(out, params);
-                totals[c].computed += out.computed;
-                totals[c].pruned += out.pruned;
-            }
-        });
-    for (const auto &t : totals)
-        mergeScanCounters(stats, t);
-    return results;
-}
-
-std::vector<IdentifyResult>
-identifyBatch(const std::vector<BitVec> &approx_outputs,
-              const std::vector<BitVec> &exact_values,
-              const FingerprintDb &db, const IdentifyParams &params,
-              ThreadPool *pool, AttackStats *stats)
-{
-    PC_ASSERT(approx_outputs.size() == exact_values.size(),
-              "identifyBatch: output/exact count mismatch");
-    if (!pool)
-        pool = &ThreadPool::global();
-    std::vector<BitVec> error_strings(approx_outputs.size());
-    pool->parallelFor(0, approx_outputs.size(), [&](std::size_t i) {
-        error_strings[i] =
-            errorString(approx_outputs[i], exact_values[i]);
-    });
-    return identifyErrorStringBatch(error_strings, db, params, pool,
-                                    stats);
 }
 
 double

@@ -1,13 +1,9 @@
-// The mapped query path is built on the raw sparse kernels.
-#define PCAUSE_ALLOW_DEPRECATED_IDENTIFY
 #include "core/mapped_store.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 
 #include "util/logging.hh"
-#include "util/thread_pool.hh"
 
 namespace pcause
 {
@@ -17,14 +13,6 @@ namespace
 
 /** Sanity cap on a chip label (matches the stream loader). */
 constexpr std::uint32_t maxLabelBytes = 1u << 16;
-
-/** Seconds elapsed since @p start. */
-double
-secondsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(
-        std::chrono::steady_clock::now() - start).count();
-}
 
 } // anonymous namespace
 
@@ -98,6 +86,10 @@ MappedStore::open(const std::string &path)
     // One pass over the record table: the only per-record work at
     // open. Arena payloads (positions, signatures) stay untouched
     // until a query pages them in.
+    // Every record spans one universe: the scan kernels read the
+    // query's words at each stored position.
+    const std::uint64_t universe =
+        h.recordCount ? ms.entry(0).universe : 0;
     std::uint64_t next_label = 0, next_pos = 0;
     for (std::uint64_t i = 0; i < h.recordCount; ++i) {
         const pcdb::V3RecordEntry e = ms.entry(i);
@@ -110,6 +102,8 @@ MappedStore::open(const std::string &path)
             return fail("record with zero sources");
         if (e.posCount > e.universe)
             return fail("more positions than universe bits");
+        if (e.universe != universe)
+            return fail("records of differing universe widths");
         next_label += e.labelLen;
         next_pos += e.posCount;
     }
@@ -222,77 +216,6 @@ MappedStore::candidates(const MinHashSketch &sketch) const
     std::sort(out.begin(), out.end());
     out.erase(std::unique(out.begin(), out.end()), out.end());
     return out;
-}
-
-IdentifyResult
-MappedStore::queryImpl(const BitVec &error_string,
-                       const IdentifyParams &params,
-                       AttackStats *stats) const
-{
-    PC_ASSERT(params.metric == DistanceMetric::ModifiedJaccard,
-              "MappedStore: only the ModifiedJaccard metric is "
-              "available on a mapped database");
-    if (stats) {
-        ++stats->indexQueries;
-        stats->recordsAvailable += header.recordCount;
-    }
-
-    const MinHashSketch sketch = minhashSketch(error_string, prm);
-    const std::vector<std::size_t> cand = candidates(sketch);
-    if (stats)
-        stats->candidatesScanned += cand.size();
-
-    const std::size_t es_weight = error_string.popcount();
-    if (!cand.empty()) {
-        const IdentifyResult res = identifySparseAmong(
-            error_string, es_weight, *this, cand, params, stats);
-        if (res.match)
-            return res;
-    }
-
-    // Same fallback contract as FingerprintStore::query(): the full
-    // scan's verdict is returned verbatim, pinning accept/reject to
-    // the linear Algorithm 2.
-    if (stats)
-        ++stats->indexFallbacks;
-    if (workers) {
-        return identifySparseParallel(error_string, es_weight, *this,
-                                      params, *workers, stats);
-    }
-    return identifySparseBounded(error_string, es_weight, *this,
-                                 params, stats);
-}
-
-IdentifyResult
-MappedStore::query(const BitVec &error_string,
-                   const IdentifyParams &params,
-                   AttackStats *stats) const
-{
-    const auto start = std::chrono::steady_clock::now();
-    AttackStats local;
-    const IdentifyResult res =
-        queryImpl(error_string, params, &local);
-    // queryImpl never stamps identify time; one wall stamp here.
-    local.identifySeconds = secondsSince(start);
-    if (stats)
-        *stats += local;
-    return res;
-}
-
-IdentifyResult
-MappedStore::queryLinear(const BitVec &error_string,
-                         const IdentifyParams &params,
-                         AttackStats *stats) const
-{
-    const auto start = std::chrono::steady_clock::now();
-    AttackStats local;
-    const IdentifyResult res = identifySparseBounded(
-        error_string, error_string.popcount(), *this, params, &local);
-    local.recordsAvailable += header.recordCount;
-    local.identifySeconds = secondsSince(start);
-    if (stats)
-        *stats += local;
-    return res;
 }
 
 } // namespace pcause

@@ -9,16 +9,16 @@
  * (core/pcdb_format.hh) is designed to be the query-time data
  * structure itself: MappedStore mmaps the file, validates the
  * structural metadata (header, canonical section offsets, the
- * record table) in one cheap pass, and then serves the same
- * query()/queryLinear() API as FingerprintStore straight off the
- * mapping — the kernel pages fingerprints in on first touch.
+ * record table) in one cheap pass, and then serves queries straight
+ * off the mapping through the same CandidateEngine as
+ * FingerprintStore — the kernel pages fingerprints in on first
+ * touch.
  *
  * Verdict equivalence: candidate sets are computed with the same
  * lshProbeKeys() fold the in-memory index uses (binary search over
  * the per-band sorted key arrays instead of a hash lookup), and the
- * scans run the identical sparse bounded Algorithm 3 kernel, so
- * accept/reject decisions match FingerprintStore on the same data
- * exactly.
+ * engine is shared, so verdicts match FingerprintStore on the same
+ * data exactly, for every metric.
  *
  * Trust model (same as the stream loader's signature trailer):
  * structural metadata is fully validated at open; position and
@@ -37,7 +37,7 @@
 #include <string_view>
 #include <vector>
 
-#include "core/identify.hh"
+#include "core/candidate_engine.hh"
 #include "core/minhash.hh"
 #include "core/pcdb_format.hh"
 #include "core/serialize.hh"
@@ -46,16 +46,15 @@
 namespace pcause
 {
 
-class ThreadPool;
-
 /** Read-only FingerprintStore over an mmap-ed v3 database file. */
-class MappedStore : public SparseFingerprintSource
+class MappedStore : public SparseFingerprintSource, public CandidateEngine
 {
   public:
     /**
      * Map and validate @p path. Failure (missing file, wrong
      * magic/version, truncation, non-canonical layout, inconsistent
-     * record table) yields an error result, never a process exit.
+     * record table, records of differing universe widths) yields an
+     * error result, never a process exit.
      */
     static LoadResult<MappedStore> open(const std::string &path);
 
@@ -65,6 +64,12 @@ class MappedStore : public SparseFingerprintSource
     // SparseFingerprintSource
     std::size_t count() const override { return header.recordCount; }
     SparseView view(std::size_t i) const override;
+
+    // CandidateEngine
+    const SparseFingerprintSource &sparseFingerprints() const override
+    {
+        return *this;
+    }
 
     /** Label of record @p i (view into the mapping). */
     std::string_view label(std::size_t i) const;
@@ -76,13 +81,7 @@ class MappedStore : public SparseFingerprintSource
     MinHashSignature signature(std::size_t i) const;
 
     /** Signature/banding parameters stored in the file. */
-    const MinHashParams &indexParams() const { return prm; }
-
-    /**
-     * Use @p pool for fallback scans (null reverts to serial), as
-     * FingerprintStore::setThreadPool().
-     */
-    void setThreadPool(ThreadPool *pool) { workers = pool; }
+    const MinHashParams &indexParams() const override { return prm; }
 
     /**
      * Record ids sharing any probe bucket with @p sketch in any
@@ -91,21 +90,7 @@ class MappedStore : public SparseFingerprintSource
      * LshIndex::candidates() on the same records.
      */
     std::vector<std::size_t>
-    candidates(const MinHashSketch &sketch) const;
-
-    /**
-     * Indexed Algorithm 2, bit-identical in verdict to
-     * FingerprintStore::query() on the same records. ModifiedJaccard
-     * only (the mapping holds no dense fingerprints).
-     */
-    IdentifyResult query(const BitVec &error_string,
-                         const IdentifyParams &params = {},
-                         AttackStats *stats = nullptr) const;
-
-    /** Reference linear scan (serial sparse bounded full scan). */
-    IdentifyResult queryLinear(const BitVec &error_string,
-                               const IdentifyParams &params = {},
-                               AttackStats *stats = nullptr) const;
+    candidates(const MinHashSketch &sketch) const override;
 
   private:
     MappedStore() = default;
@@ -116,14 +101,9 @@ class MappedStore : public SparseFingerprintSource
     /** First byte of band @p band's on-disk section. */
     const std::uint8_t *bandBase(std::uint32_t band) const;
 
-    IdentifyResult queryImpl(const BitVec &error_string,
-                             const IdentifyParams &params,
-                             AttackStats *stats) const;
-
     MmapFile map;
     pcdb::V3Header header;
     MinHashParams prm;
-    ThreadPool *workers = nullptr;
 };
 
 } // namespace pcause

@@ -192,22 +192,23 @@ AttackService::setThreadPool(ThreadPool *pool)
         mapped->setThreadPool(pool);
 }
 
-IdentifyResult
-AttackService::dispatch(const BitVec &error_string,
-                        const QueryOptions &options,
-                        AttackStats *delta) const
+const CandidateEngine &
+AttackService::backend() const
 {
-    const IdentifyParams p = options.identifyParams();
-    if (mapped) {
-        PC_ASSERT(options.metric == DistanceMetric::ModifiedJaccard,
-                  "AttackService: the mmap backend serves the "
-                  "ModifiedJaccard metric only");
-        return options.linear
-                   ? mapped->queryLinear(error_string, p, delta)
-                   : mapped->query(error_string, p, delta);
-    }
-    return options.linear ? owned->queryLinear(error_string, p, delta)
-                          : owned->query(error_string, p, delta);
+    if (owned)
+        return *owned;
+    return *mapped;
+}
+
+std::string
+AttackService::widthMismatch(std::size_t bits) const
+{
+    const SparseFingerprintSource &fps = backend().sparseFingerprints();
+    if (fps.count() == 0 || fps.view(0).universe == bits)
+        return {};
+    return "error string is " + std::to_string(bits) +
+           " bits; the database holds " +
+           std::to_string(fps.view(0).universe) + "-bit records";
 }
 
 IdentifyVerdict
@@ -237,8 +238,14 @@ AttackService::identify(const IdentifyRequest &req) const
     IdentifyVerdict v;
     {
         std::shared_lock<std::shared_mutex> lock(*gate);
+        v.error = widthMismatch(req.errorString.size());
+        if (!v.error.empty())
+            return v;
+        const IdentifyParams p = req.options.identifyParams();
         const IdentifyResult r =
-            dispatch(req.errorString, req.options, &delta);
+            req.options.linear
+                ? backend().queryLinear(req.errorString, p, &delta)
+                : backend().query(req.errorString, p, &delta);
         v = resolve(r, delta);
     }
     counters->accumulate(delta);
@@ -250,32 +257,42 @@ AttackService::identifyBatch(const std::vector<BitVec> &error_strings,
                              const QueryOptions &options) const
 {
     (void)failpoint::hit("service.query");
-    std::vector<IdentifyVerdict> verdicts;
-    verdicts.reserve(error_strings.size());
-    AttackStats delta;
+    std::vector<IdentifyVerdict> verdicts(error_strings.size());
+    AttackStats total;
     {
         std::shared_lock<std::shared_mutex> lock(*gate);
-        if (owned && !options.linear) {
-            // The batched path: queryBatch spreads queries across
-            // the pool, elementwise bit-identical to query().
-            const std::vector<IdentifyResult> results =
-                owned->queryBatch(error_strings,
-                                  options.identifyParams(), &delta);
-            for (const IdentifyResult &r : results)
-                verdicts.push_back(resolve(r, AttackStats{}));
-        } else {
-            // Mapped or linear backends have no batch entry; the
-            // per-query dispatch is already the exact path.
-            for (const BitVec &es : error_strings) {
-                const IdentifyResult r =
-                    dispatch(es, options, &delta);
-                verdicts.push_back(resolve(r, AttackStats{}));
-            }
+        // Wrong-width queries are refused one by one; the rest run
+        // as one batch.
+        std::vector<std::size_t> at;
+        for (std::size_t i = 0; i < error_strings.size(); ++i) {
+            verdicts[i].error = widthMismatch(error_strings[i].size());
+            if (verdicts[i].error.empty())
+                at.push_back(i);
         }
+        const bool all_fit = at.size() == error_strings.size();
+        std::vector<BitVec> fit;
+        if (!all_fit) {
+            for (const std::size_t i : at)
+                fit.push_back(error_strings[i]);
+        }
+        const std::vector<BitVec> &run = all_fit ? error_strings : fit;
+
+        const IdentifyParams p = options.identifyParams();
+        std::vector<AttackStats> deltas(run.size());
+        std::vector<IdentifyResult> results;
+        if (options.linear) {
+            for (std::size_t k = 0; k < run.size(); ++k) {
+                results.push_back(
+                    backend().queryLinear(run[k], p, &deltas[k]));
+                total += deltas[k];
+            }
+        } else {
+            results = backend().queryBatch(run, p, &total, &deltas);
+        }
+        for (std::size_t k = 0; k < run.size(); ++k)
+            verdicts[at[k]] = resolve(results[k], deltas[k]);
     }
-    // Per-element deltas are not separable inside a shared batch
-    // scan; the batch total reports through snapshot() instead.
-    counters->accumulate(delta);
+    counters->accumulate(total);
     return verdicts;
 }
 
@@ -287,6 +304,13 @@ AttackService::addFingerprint(const ChipLabel &label,
     if (error_strings.empty()) {
         out.error = "characterize needs at least one error string";
         return out;
+    }
+    for (const BitVec &es : error_strings) {
+        if (es.size() != error_strings.front().size()) {
+            out.error = "characterize needs error strings of one "
+                        "width";
+            return out;
+        }
     }
     // Algorithm 1: intersect the error strings.
     Fingerprint fp(error_strings.front());
@@ -311,6 +335,9 @@ AttackService::addRecord(ChipLabel label, Fingerprint fp)
     bool want_checkpoint = false;
     {
         std::unique_lock<std::shared_mutex> lock(*gate);
+        out.error = widthMismatch(fp.bits().size());
+        if (!out.error.empty())
+            return out;
         // Journal + fsync *before* the in-memory add: once the
         // caller sees added == true the record is on disk, so an
         // acked add survives kill -9 at any instruction. A failed
@@ -345,34 +372,23 @@ AttackService::dbStats() const
     ServiceDbStats s;
     std::shared_lock<std::shared_mutex> lock(*gate);
     s.records = size();
+    s.indexParams = backend().indexParams();
     if (owned) {
-        s.backend = "store";
-        s.indexParams = owned->indexParams();
         const LshIndex::Occupancy occ = owned->index().occupancy();
         s.hasOccupancy = true;
         s.lshBuckets = occ.buckets;
         s.largestBucket = occ.largestBucket;
-        for (std::size_t i = 0; i < owned->size(); ++i) {
-            const FingerprintRecord &rec = owned->record(i);
-            const std::size_t weight = rec.fingerprint.weight();
-            s.volatileCells += weight;
-            if (rec.fingerprint.bits().size() > s.universeBits)
-                s.universeBits = rec.fingerprint.bits().size();
-            s.diskBytesEstimate += recordDiskSize(
-                weight, rec.label.size(), s.indexParams.numHashes);
-        }
-        return s;
+    } else {
+        s.backend = "mmap";
     }
-    s.backend = "mmap";
-    s.indexParams = mapped->indexParams();
-    for (std::size_t i = 0; i < mapped->size(); ++i) {
-        const SparseView v = mapped->view(i);
+    const SparseFingerprintSource &fps = backend().sparseFingerprints();
+    for (std::size_t i = 0; i < fps.count(); ++i) {
+        const SparseView v = fps.view(i);
         s.volatileCells += v.count;
         if (v.universe > s.universeBits)
             s.universeBits = static_cast<std::size_t>(v.universe);
         s.diskBytesEstimate += recordDiskSize(
-            v.count, mapped->label(i).size(),
-            s.indexParams.numHashes);
+            v.count, label(i).size(), s.indexParams.numHashes);
     }
     return s;
 }

@@ -2,22 +2,20 @@
  * @file
  * AttackService: one identification API for every frontend.
  *
- * Identification grew several entry points as it got faster — the
- * raw Algorithm 2 scans in core/identify, the indexed
- * FingerprintStore::query* family, and the mmap-ed MappedStore
- * twins — and every frontend (CLI, benches, attackers, and now the
- * pcaused network server) re-picked a combination by hand.
- * AttackService is the facade that ends that proliferation: it owns
- * one backend (an in-memory FingerprintStore or a read-only
- * MappedStore over a v3 file), exposes a single QueryOptions-driven
- * identify entry point plus the batch variant the micro-batcher
- * feeds, and resolves record indices to labels so callers never
- * reach into the backend for presentation.
+ * Every frontend (CLI, benches, attackers, and the pcaused network
+ * server) identifies through this facade: it owns one backend (an
+ * in-memory FingerprintStore or a read-only MappedStore over a v3
+ * file), exposes a single QueryOptions-driven identify entry point
+ * plus the batch variant the micro-batcher feeds, and resolves
+ * record indices to labels so callers never reach into the backend
+ * for presentation.
  *
  * Verdicts are bit-identical to direct FingerprintStore /
- * MappedStore queries by construction: the facade adds locking,
- * label resolution, and stats accounting around the store calls and
- * changes nothing about the query path itself.
+ * MappedStore queries by construction: both run the one
+ * CandidateEngine, and the facade adds locking, label resolution,
+ * stats accounting and the width check (an error string or
+ * fingerprint whose width differs from the records' is refused,
+ * never scanned) around the engine calls.
  *
  * Concurrency: identify paths take a shared lock, mutations
  * (addRecord / addFingerprint) take the exclusive lock, so a
@@ -128,6 +126,10 @@ struct IdentifyVerdict
     /** Counters this query added (candidates scanned, fallbacks,
      *  kernel counts, wall time). */
     AttackStats delta;
+
+    /** Why the query was refused (its width differs from the
+     *  records'); empty when it ran. */
+    std::string error;
 };
 
 /** Database diagnostics, backend-independent. */
@@ -266,16 +268,17 @@ class AttackService
      * The one identification entry point: dispatches on
      * req.options to the backend's indexed or linear path, under a
      * shared lock, and resolves labels. Verdict bit-identical to
-     * the corresponding direct backend query.
+     * the corresponding direct backend query; a wrong-width query
+     * is refused with verdict.error set.
      */
     IdentifyVerdict identify(const IdentifyRequest &req) const;
 
     /**
      * Batch identification under one option set — the entry the
-     * server's micro-batcher feeds. In-memory backends run
-     * FingerprintStore::queryBatch across the thread pool; each
-     * element is bit-identical to the corresponding identify()
-     * call.
+     * server's micro-batcher feeds. Indexed queries run the
+     * backend's queryBatch across the thread pool; each element,
+     * its per-query delta included, is bit-identical to the
+     * corresponding identify() call.
      */
     std::vector<IdentifyVerdict>
     identifyBatch(const std::vector<BitVec> &error_strings,
@@ -295,7 +298,8 @@ class AttackService
         std::size_t weight = 0;
 
         /** Reason the add was refused (read-only backend, no error
-         *  strings); empty on success. */
+         *  strings, a width differing from the records'); empty on
+         *  success. */
         std::string error;
     };
 
@@ -340,10 +344,13 @@ class AttackService
     std::string label(std::size_t i) const;
 
   private:
-    /** Backend query dispatch; callers hold the lock. */
-    IdentifyResult dispatch(const BitVec &error_string,
-                            const QueryOptions &options,
-                            AttackStats *delta) const;
+    /** The backend's query engine (either store). */
+    const CandidateEngine &backend() const;
+
+    /** Why a @p bits wide error string or fingerprint cannot join
+     *  the records (their width differs); empty when it fits.
+     *  Callers hold the lock. */
+    std::string widthMismatch(std::size_t bits) const;
 
     /** Resolve an IdentifyResult into a labeled verdict; callers
      *  hold the lock. */

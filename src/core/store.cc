@@ -1,8 +1,4 @@
-// The store query path is built on the raw scan kernels.
-#define PCAUSE_ALLOW_DEPRECATED_IDENTIFY
 #include "core/store.hh"
-
-#include <chrono>
 
 #include "core/error_string.hh"
 #include "util/logging.hh"
@@ -13,14 +9,6 @@ namespace pcause
 
 namespace
 {
-
-/** Seconds elapsed since @p start. */
-double
-secondsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(
-        std::chrono::steady_clock::now() - start).count();
-}
 
 /**
  * Whether a signature computed under @p a is valid content under
@@ -89,7 +77,7 @@ FingerprintStore::addBatch(std::vector<ChipLabel> labels,
     if (labels.empty())
         return;
 
-    ThreadPool &pool = workers ? *workers : ThreadPool::global();
+    ThreadPool &pool = threadPool() ? *threadPool() : ThreadPool::global();
     const std::size_t first = records.size();
     const MinHashParams &prm = lsh.params();
 
@@ -120,154 +108,11 @@ FingerprintStore::signature(std::size_t i) const
 }
 
 IdentifyResult
-FingerprintStore::queryImpl(const BitVec &error_string,
-                            const IdentifyParams &params,
-                            AttackStats *stats,
-                            bool sharded_fallback) const
-{
-    if (stats) {
-        ++stats->indexQueries;
-        stats->recordsAvailable += records.size();
-    }
-
-    const MinHashSketch sketch =
-        minhashSketch(error_string, lsh.params());
-    const std::vector<std::size_t> cand = lsh.candidates(sketch);
-    if (stats)
-        stats->candidatesScanned += cand.size();
-
-    // The ModifiedJaccard scans run on the sparse position arena
-    // (bit-identical kernel, ~30x less memory traffic); other
-    // metrics keep the dense records. Either way the query operand
-    // is hashed once here, never per candidate.
-    const bool use_sparse =
-        params.metric == DistanceMetric::ModifiedJaccard;
-    const std::size_t es_weight = error_string.popcount();
-
-    if (!cand.empty()) {
-        const IdentifyResult res =
-            use_sparse
-                ? identifySparseAmong(error_string, es_weight, sparse,
-                                      cand, params, stats)
-                : identifyAmong(error_string, es_weight, records,
-                                cand, params, stats);
-        if (res.match)
-            return res;
-    }
-
-    // No shortlist accept: fall back to the exact full scan, whose
-    // verdict is returned verbatim — this is what pins the store's
-    // accept/reject decisions to the linear Algorithm 2.
-    if (stats)
-        ++stats->indexFallbacks;
-    if (use_sparse) {
-        if (sharded_fallback && workers) {
-            return identifySparseParallel(error_string, es_weight,
-                                          sparse, params, *workers,
-                                          stats);
-        }
-        return identifySparseBounded(error_string, es_weight, sparse,
-                                     params, stats);
-    }
-    if (sharded_fallback && workers) {
-        // identifyErrorStringParallel stamps its own wall time; the
-        // public query entries time the whole query exactly once,
-        // so strip the inner stamp before merging the counters.
-        AttackStats inner;
-        const IdentifyResult res = identifyErrorStringParallel(
-            error_string, records, params, *workers,
-            stats ? &inner : nullptr);
-        if (stats) {
-            inner.identifySeconds = 0.0;
-            *stats += inner;
-        }
-        return res;
-    }
-    return identifyErrorStringBounded(error_string, records, params,
-                                      stats);
-}
-
-IdentifyResult
-FingerprintStore::query(const BitVec &error_string,
-                        const IdentifyParams &params,
-                        AttackStats *stats) const
-{
-    const auto start = std::chrono::steady_clock::now();
-    AttackStats local;
-    const IdentifyResult res =
-        queryImpl(error_string, params, &local, true);
-    // queryImpl never stamps identify time itself, so each query's
-    // wall time is counted exactly once, here.
-    local.identifySeconds = secondsSince(start);
-    if (stats)
-        *stats += local;
-    return res;
-}
-
-IdentifyResult
 FingerprintStore::query(const BitVec &approx, const BitVec &exact,
                         const IdentifyParams &params,
                         AttackStats *stats) const
 {
     return query(errorString(approx, exact), params, stats);
-}
-
-std::vector<IdentifyResult>
-FingerprintStore::queryBatch(const std::vector<BitVec> &error_strings,
-                             const IdentifyParams &params,
-                             AttackStats *stats) const
-{
-    std::vector<IdentifyResult> results(error_strings.size());
-    if (error_strings.empty())
-        return results;
-
-    ThreadPool &pool = workers ? *workers : ThreadPool::global();
-    const auto start = std::chrono::steady_clock::now();
-    AttackStats total;
-
-    if (error_strings.size() < pool.size()) {
-        // Few queries: let each query's fallback shard the database
-        // scan across the pool instead.
-        for (std::size_t q = 0; q < error_strings.size(); ++q) {
-            results[q] = queryImpl(error_strings[q], params, &total,
-                                   true);
-        }
-    } else {
-        std::vector<AttackStats> locals(pool.size());
-        pool.parallelChunks(
-            0, error_strings.size(),
-            [&](std::size_t b, std::size_t e, std::size_t c) {
-                for (std::size_t q = b; q < e; ++q) {
-                    results[q] = queryImpl(error_strings[q], params,
-                                           &locals[c], false);
-                }
-            });
-        for (const AttackStats &l : locals)
-            total += l;
-    }
-
-    // One wall-time stamp for the whole batch (queryImpl leaves
-    // identifySeconds untouched on every path).
-    total.identifySeconds = secondsSince(start);
-    if (stats)
-        *stats += total;
-    return results;
-}
-
-IdentifyResult
-FingerprintStore::queryLinear(const BitVec &error_string,
-                              const IdentifyParams &params,
-                              AttackStats *stats) const
-{
-    const auto start = std::chrono::steady_clock::now();
-    AttackStats local;
-    const IdentifyResult res = identifyErrorStringBounded(
-        error_string, records, params, &local);
-    local.recordsAvailable += records.size();
-    local.identifySeconds = secondsSince(start);
-    if (stats)
-        *stats += local;
-    return res;
 }
 
 void
@@ -276,7 +121,7 @@ FingerprintStore::reindex(const MinHashParams &new_params)
     LshIndex next(new_params);
     std::vector<MinHashSignature> sigs(records.size());
 
-    ThreadPool *pool = workers;
+    ThreadPool *pool = threadPool();
     const auto hashRecord = [&](std::size_t i) {
         sigs[i] = minhashSignature(records.record(i).fingerprint.bits(),
                                    new_params);

@@ -2,21 +2,14 @@
  * @file
  * FingerprintStore: the attacker database behind one API.
  *
- * Wraps the plain FingerprintDb with a MinHash/LSH candidate index
- * (core/minhash) so identification is sublinear in the number of
- * known chips: a query hashes its error string to a signature,
- * pulls the records colliding in at least one LSH band, and runs
- * the exact bounded Algorithm 3 kernel on that shortlist only.
- *
- * Accept/reject equivalence with the paper's linear Algorithm 2 is
- * guaranteed by construction: a shortlist accept implies a record
- * under threshold exists (the exact kernel verified it), and a
- * shortlist miss falls back to the full scan, whose result is
- * returned verbatim. The only permitted divergence is *which*
- * record is reported when several sit under the threshold in
- * first-match mode — the shortlist may surface a later record than
- * the linear scan's first hit (distinct chips are never that close;
- * see docs/ALGORITHMS.md "Fingerprint index").
+ * Keeps the records (labels, the dense FingerprintDb mirror, the
+ * sparse position arena and MinHash signatures) and an in-memory
+ * MinHash/LSH bucket index (core/minhash). Queries run on the
+ * shared CandidateEngine (core/candidate_engine.hh): the LSH index
+ * supplies the shortlist, the engine confirms it with the exact
+ * kernel and falls back to the full scan, so accept/reject always
+ * equals the paper's linear Algorithm 2 (see docs/ALGORITHMS.md
+ * "Fingerprint index").
  */
 
 #ifndef PCAUSE_CORE_STORE_HH
@@ -25,6 +18,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/candidate_engine.hh"
 #include "core/identify.hh"
 #include "core/minhash.hh"
 
@@ -34,7 +28,7 @@ namespace pcause
 class ThreadPool;
 
 /** Indexed attacker database: FingerprintDb + LSH candidate index. */
-class FingerprintStore
+class FingerprintStore : public CandidateEngine
 {
   public:
     explicit FingerprintStore(const MinHashParams &index_params = {});
@@ -95,62 +89,37 @@ class FingerprintStore
     const MinHashSignature &signature(std::size_t i) const;
 
     /** Signature/banding parameters of the current index. */
-    const MinHashParams &indexParams() const { return lsh.params(); }
+    const MinHashParams &indexParams() const override
+    {
+        return lsh.params();
+    }
 
     /** The candidate index (diagnostics: occupancy, size). */
     const LshIndex &index() const { return lsh; }
 
     /**
      * Sparse position-arena mirror of the fingerprints, maintained
-     * alongside the dense records: the representation the
-     * ModifiedJaccard query paths scan and the v3 writer persists.
+     * alongside the dense records: the representation every query
+     * scans and the v3 writer persists.
      */
-    const SparseFingerprintArena &sparseFingerprints() const
+    const SparseFingerprintArena &sparseFingerprints() const override
     {
         return sparse;
     }
 
-    /**
-     * Use @p pool (not owned; null reverts to serial single-query
-     * fallbacks and the process-global pool for batches) for query
-     * fallback scans, batch queries, and reindexing.
-     */
-    void setThreadPool(ThreadPool *pool) { workers = pool; }
+    /** Multi-probe shortlist from the in-memory LSH index. */
+    std::vector<std::size_t>
+    candidates(const MinHashSketch &sketch) const override
+    {
+        return lsh.candidates(sketch);
+    }
 
-    /**
-     * Indexed Algorithm 2 from a precomputed error string: exact
-     * bounded-distance scan of the LSH shortlist, full fallback
-     * scan when the shortlist yields no accept. @p stats, when
-     * non-null, accumulates candidates-scanned vs database-size
-     * counters, kernel counters, and identify wall time.
-     */
-    IdentifyResult query(const BitVec &error_string,
-                         const IdentifyParams &params = {},
-                         AttackStats *stats = nullptr) const;
+    using CandidateEngine::query;
 
     /** Indexed Algorithm 2 from an output and its exact value. */
     IdentifyResult query(const BitVec &approx, const BitVec &exact,
                          const IdentifyParams &params = {},
                          AttackStats *stats = nullptr) const;
-
-    /**
-     * Batch query: elementwise equal to query() on each error
-     * string, spread across the thread pool (the process-global
-     * pool when none is set).
-     */
-    std::vector<IdentifyResult>
-    queryBatch(const std::vector<BitVec> &error_strings,
-               const IdentifyParams &params = {},
-               AttackStats *stats = nullptr) const;
-
-    /**
-     * Reference linear Algorithm 2 (serial bounded full scan,
-     * bit-identical verdicts to identifyErrorString()) — the
-     * baseline the index is measured against.
-     */
-    IdentifyResult queryLinear(const BitVec &error_string,
-                               const IdentifyParams &params = {},
-                               AttackStats *stats = nullptr) const;
 
     /**
      * Rebuild the index under new signature/banding parameters;
@@ -159,23 +128,10 @@ class FingerprintStore
     void reindex(const MinHashParams &new_params);
 
   private:
-    /**
-     * query() body accumulating into @p stats without timing; the
-     * public entry points add wall time around it. @p sharded_fallback
-     * selects the pool-sharded fallback scan (single-query path)
-     * over the serial bounded one (batch path, where queries
-     * already occupy the pool).
-     */
-    IdentifyResult queryImpl(const BitVec &error_string,
-                             const IdentifyParams &params,
-                             AttackStats *stats,
-                             bool sharded_fallback) const;
-
     FingerprintDb records;
     std::vector<MinHashSignature> signatures;
     SparseFingerprintArena sparse;
     LshIndex lsh;
-    ThreadPool *workers = nullptr;
 };
 
 } // namespace pcause

@@ -63,16 +63,6 @@ Batcher::drainLoop()
             if (queue.empty() && stopping)
                 return;
 
-            // Adaptive gather: if the last drain was a real batch,
-            // linger briefly so this one can fill toward batchMax.
-            if (lastBatch >= cfg.gatherThreshold &&
-                queue.size() < cfg.batchMax &&
-                cfg.gatherWindow.count() > 0) {
-                wake.wait_for(lock, cfg.gatherWindow, [this] {
-                    return stopping || queue.size() >= cfg.batchMax;
-                });
-            }
-
             const std::size_t take =
                 std::min(queue.size(), cfg.batchMax);
             batch.reserve(take);
@@ -80,10 +70,7 @@ Batcher::drainLoop()
                 batch.push_back(std::move(queue.front()));
                 queue.pop_front();
             }
-            lastBatch = batch.size();
         }
-        if (batch.empty())
-            continue;
 
         // Group runs of identical options; one identifyBatch per
         // group keeps the contract "a batch shares one option set".

@@ -7,14 +7,11 @@
  * future; a single drain thread pulls everything queued, groups the
  * requests by QueryOptions (a batch shares one option set), and
  * runs each group through identifyBatch — the queryBatch path that
- * spreads work across the thread pool. Under light load a request
- * is drained alone and the batcher adds one handoff; under heavy
- * load the queue naturally accumulates while the previous batch
- * runs, so batch size adapts to load with no tuning. When the
- * previous drain saw batchable load, the drain thread additionally
- * waits up to gatherWindow for the batch to fill toward batchMax —
- * the "adaptive" part: the window only costs latency when batching
- * is already paying for it.
+ * spreads work across the thread pool. The drain never lingers: it
+ * takes whatever is queued. Under light load a request is drained
+ * alone and the batcher adds one handoff; under heavy load the
+ * queue naturally accumulates while the previous batch runs, so
+ * batch size adapts to load with no tuning.
  *
  * The queue is bounded. A full queue rejects the submit — the
  * server turns that into an explicit BUSY reply (backpressure, not
@@ -24,7 +21,6 @@
 #ifndef PCAUSE_SERVE_BATCHER_HH
 #define PCAUSE_SERVE_BATCHER_HH
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -47,14 +43,6 @@ struct BatcherConfig
 
     /** Upper bound on one identifyBatch call. */
     std::size_t batchMax = 256;
-
-    /** How long the drain thread lingers for a batch to fill when
-     *  the previous drain showed load. */
-    std::chrono::microseconds gatherWindow{200};
-
-    /** Previous-batch size at or above which the gather window
-     *  engages. */
-    std::size_t gatherThreshold = 2;
 };
 
 /** Coalesces identify requests into batched service calls. */
@@ -100,7 +88,6 @@ class Batcher
     bool stopping = false;
     std::size_t servedCount = 0;
     std::size_t batchCount = 0;
-    std::size_t lastBatch = 0;
 
     std::thread drain;
 };

@@ -3,13 +3,12 @@
  * Algorithm 2 (IDENTIFY) invariances. The attack's verdict must be
  * a function of the *sets* involved, not of incidental ordering:
  * permuting the database cannot change accept/reject or the best
- * distance (best-match mode), and every fast path — bounded scan,
- * pool-parallel scan, batch — must be bit-identical to the serial
- * reference.
+ * distance (best-match mode), and every path of the candidate
+ * engine — the serial linear scan, the pool-sharded full scan, the
+ * batch — must be bit-identical to the dense serial reference
+ * identifyErrorString().
  */
 
-// Differential oracle: properties over the raw kernels.
-#define PCAUSE_ALLOW_DEPRECATED_IDENTIFY
 #include "prop_common.hh"
 
 #include <algorithm>
@@ -17,6 +16,8 @@
 
 #include "core/distance.hh"
 #include "core/identify.hh"
+#include "core/store.hh"
+#include "testing/scan_only_engine.hh"
 #include "util/thread_pool.hh"
 
 using namespace pcause;
@@ -33,11 +34,14 @@ struct Scenario
     std::size_t target = 0;
 };
 
+/** @p max_records above 2 × the pool's lanes lets the full scan
+ *  shard. */
 Scenario
-genScenario(Ctx &ctx)
+genScenario(Ctx &ctx, std::size_t max_records = 6)
 {
     Scenario s;
-    const std::size_t records = ctx.sizeRange(1, 6, "records");
+    const std::size_t records =
+        ctx.sizeRange(1, max_records, "records");
     s.db = pcheck::genDb(ctx, 64 * records, records);
     s.target = ctx.sizeRange(0, records - 1, "target");
     // Half the trials probe with a matching observation, half with
@@ -93,38 +97,56 @@ PCHECK_PROPERTY(PropIdentify, DbAddOrderInvariant, [](Ctx &ctx) {
     }
 })
 
+namespace
+{
+
+/** Match, nearest and distance all equal, bit for bit. */
+void
+checkSame(const IdentifyResult &got, const IdentifyResult &want)
+{
+    PCHECK_EQ(got.match.has_value(), want.match.has_value());
+    if (want.match)
+        PCHECK_EQ(*got.match, *want.match);
+    PCHECK_EQ(got.nearest.has_value(), want.nearest.has_value());
+    if (want.nearest)
+        PCHECK_EQ(*got.nearest, *want.nearest);
+    PCHECK_EQ(got.bestDistance, want.bestDistance);
+}
+
+} // namespace
+
 PCHECK_PROPERTY(PropIdentify, BoundedEqualsSerial, [](Ctx &ctx) {
+    // The engine's reference linear scan: serial, bounded, sparse.
     const Scenario s = genScenario(ctx);
     IdentifyParams p;
     p.firstMatch = ctx.boolean(0.5, "first_match");
-    const IdentifyResult plain = identifyErrorString(s.probe, s.db, p);
-    const IdentifyResult bounded =
-        identifyErrorStringBounded(s.probe, s.db, p);
-    PCHECK_EQ(plain.match.has_value(), bounded.match.has_value());
-    if (plain.match)
-        PCHECK_EQ(*plain.match, *bounded.match);
-    PCHECK_EQ(plain.bestDistance, bounded.bestDistance);
+    checkSame(FingerprintStore::fromDb(s.db).queryLinear(s.probe, p),
+              identifyErrorString(s.probe, s.db, p));
 })
 
 PCHECK_PROPERTY(PropIdentify, ParallelEqualsSerial, [](Ctx &ctx) {
+    // The fallback full scan sharded across a pool, including the
+    // first-match earliest-shard protocol.
     static ThreadPool pool(4);
-    const Scenario s = genScenario(ctx);
+    Scenario s = genScenario(ctx, 24);
+    if (ctx.boolean(0.5, "second_target")) {
+        // Several records under threshold, likely in different
+        // shards: first-match must still report the lowest one.
+        const std::size_t other = ctx.below(s.db.size(), "other");
+        s.probe |= pcheck::genMatchingErrorString(ctx, s.db, other);
+    }
     IdentifyParams p;
     p.firstMatch = ctx.boolean(0.5, "first_match");
-    const IdentifyResult serial =
-        identifyErrorString(s.probe, s.db, p);
-    const IdentifyResult parallel =
-        identifyErrorStringParallel(s.probe, s.db, p, pool);
-    PCHECK_EQ(serial.match.has_value(), parallel.match.has_value());
-    if (serial.match)
-        PCHECK_EQ(*serial.match, *parallel.match);
-    PCHECK_EQ(serial.bestDistance, parallel.bestDistance);
+    ScanOnlyEngine engine(s.db);
+    engine.setThreadPool(&pool);
+    checkSame(engine.query(s.probe, p),
+              identifyErrorString(s.probe, s.db, p));
 })
 
 PCHECK_PROPERTY(PropIdentify, BatchEqualsSerialEverywhere,
                 [](Ctx &ctx) {
     static ThreadPool pool(4);
-    const std::size_t records = ctx.sizeRange(1, 5, "records");
+    const std::size_t records = ctx.sizeRange(1, 20, "records");
     const FingerprintDb db =
         pcheck::genDb(ctx, 64 * records, records);
     const std::size_t queries = ctx.sizeRange(1, 8, "queries");
@@ -143,21 +165,15 @@ PCHECK_PROPERTY(PropIdentify, BatchEqualsSerialEverywhere,
     IdentifyParams p;
     p.firstMatch = ctx.boolean(0.5, "first_match");
 
+    // Fewer queries than lanes shard each scan; more spread the
+    // queries across the pool.
+    ScanOnlyEngine engine(db);
+    engine.setThreadPool(&pool);
     const std::vector<IdentifyResult> batch =
-        identifyErrorStringBatch(probes, db, p, &pool);
+        engine.queryBatch(probes, p);
     PCHECK_EQ(batch.size(), probes.size());
-    for (std::size_t q = 0; q < queries; ++q) {
-        const IdentifyResult one =
-            identifyErrorString(probes[q], db, p);
-        PCHECK_EQ(batch[q].match.has_value(), one.match.has_value());
-        if (one.match)
-            PCHECK_EQ(*batch[q].match, *one.match);
-        PCHECK_EQ(batch[q].bestDistance, one.bestDistance);
-        PCHECK_EQ(batch[q].nearest.has_value(),
-                  one.nearest.has_value());
-        if (one.nearest)
-            PCHECK_EQ(*batch[q].nearest, *one.nearest);
-    }
+    for (std::size_t q = 0; q < queries; ++q)
+        checkSame(batch[q], identifyErrorString(probes[q], db, p));
 })
 
 PCHECK_PROPERTY(PropIdentify, QueryPermutationInvariant,
@@ -177,16 +193,15 @@ PCHECK_PROPERTY(PropIdentify, QueryPermutationInvariant,
     for (std::size_t i : perm)
         shuffled.push_back(probes[i]);
 
-    const std::vector<IdentifyResult> base =
-        identifyErrorStringBatch(probes, db, {}, &pool);
+    FingerprintStore store = FingerprintStore::fromDb(db);
+    store.setThreadPool(&pool);
+    const std::vector<IdentifyResult> base = store.queryBatch(probes);
     const std::vector<IdentifyResult> moved =
-        identifyErrorStringBatch(shuffled, db, {}, &pool);
+        store.queryBatch(shuffled);
     for (std::size_t q = 0; q < queries; ++q) {
-        const IdentifyResult &x = base[perm[q]];
-        const IdentifyResult &y = moved[q];
-        PCHECK_EQ(x.match.has_value(), y.match.has_value());
-        if (x.match)
-            PCHECK_EQ(*x.match, *y.match);
-        PCHECK_EQ(x.bestDistance, y.bestDistance);
+        checkSame(moved[q], base[perm[q]]);
+        PCHECK_EQ(moved[q].match.has_value(),
+                  identifyErrorString(shuffled[q], db)
+                      .match.has_value());
     }
 })

@@ -3,13 +3,19 @@
  * FingerprintStore differential oracle: the MinHash/LSH candidate
  * index is a pure shortlist, so query() must agree with the linear
  * Algorithm 2 scan (queryLinear) on every accept/reject verdict —
- * and in best-match mode on the record and distance too. Reindexing
- * under different banding parameters changes only speed, never
- * verdicts.
+ * and in best-match mode on the record and distance too. The same
+ * holds for every distance metric on both backends (in-memory and
+ * mmap-ed), against the dense identifyErrorString() oracle.
+ * Reindexing under different banding parameters changes only
+ * speed, never verdicts.
  */
 
 #include "prop_common.hh"
 
+#include <cstdio>
+
+#include "core/mapped_store.hh"
+#include "core/serialize.hh"
 #include "core/store.hh"
 #include "util/thread_pool.hh"
 
@@ -120,4 +126,50 @@ PCHECK_PROPERTY(PropStore, ReindexPreservesVerdicts, [](Ctx &ctx) {
     if (before.match)
         PCHECK_EQ(*before.match, *after.match);
     PCHECK_EQ(before.bestDistance, after.bestDistance);
+})
+
+PCHECK_PROPERTY(PropStore, EveryMetricAgreesWithDenseOracle,
+                [](Ctx &ctx) {
+    static ThreadPool pool(4);
+    const std::size_t records = ctx.sizeRange(1, 12, "records");
+    const std::size_t nbits = 64 * records;
+    FingerprintStore store = genStore(ctx, records, nbits);
+    store.setThreadPool(&pool);
+    const std::size_t queries = ctx.sizeRange(1, 6, "queries");
+    std::vector<BitVec> probes;
+    for (std::size_t q = 0; q < queries; ++q)
+        probes.push_back(genProbe(ctx, store, nbits));
+
+    const DistanceMetric metrics[] = {DistanceMetric::ModifiedJaccard,
+                                      DistanceMetric::Jaccard,
+                                      DistanceMetric::Hamming};
+    const double thresholds[] = {0.1, 0.35, 0.8};
+    IdentifyParams p;
+    p.metric = metrics[ctx.below(3, "metric")];
+    p.threshold = thresholds[ctx.below(3, "threshold")];
+    p.firstMatch = ctx.boolean(0.5, "first_match");
+
+    const std::string path =
+        ::testing::TempDir() + "prop_store_every_metric.pcdb";
+    PCHECK_MSG(saveStore(store, path), "save failed");
+    LoadResult<MappedStore> mapped = MappedStore::open(path);
+    std::remove(path.c_str()); // the mapping outlives the name
+    PCHECK_MSG(static_cast<bool>(mapped), mapped.error);
+    mapped->setThreadPool(&pool);
+
+    const std::vector<IdentifyResult> batch = store.queryBatch(probes, p);
+    for (std::size_t q = 0; q < queries; ++q) {
+        const IdentifyResult want =
+            identifyErrorString(probes[q], store.db(), p);
+        for (const IdentifyResult &got :
+             {store.query(probes[q], p), store.queryLinear(probes[q], p),
+              batch[q], mapped->query(probes[q], p)}) {
+            PCHECK_EQ(got.match.has_value(), want.match.has_value());
+            if (!p.firstMatch) {
+                if (want.match)
+                    PCHECK_EQ(*got.match, *want.match);
+                PCHECK_EQ(got.bestDistance, want.bestDistance);
+            }
+        }
+    }
 })

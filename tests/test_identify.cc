@@ -4,8 +4,6 @@
  * calibration.
  */
 
-// Differential oracle: tests the raw kernels on purpose.
-#define PCAUSE_ALLOW_DEPRECATED_IDENTIFY
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,6 +12,7 @@
 #include "core/error_string.hh"
 #include "core/identify.hh"
 #include "platform/platform.hh"
+#include "testing/scan_only_engine.hh"
 #include "util/rng.hh"
 #include "util/thread_pool.hh"
 
@@ -280,7 +279,8 @@ TEST(Identify, MatchAtRecordZeroIsTruthy)
 
 TEST(Identify, BatchMatchesSerialOnRandomDatabases)
 {
-    // The batch/parallel scans promise bit-identical results. Sweep
+    // The engine's batch and pool-sharded full scans promise
+    // results bit-identical to the dense serial scan. Sweep
     // randomized databases and queries across both firstMatch
     // settings and pool sizes 1 (inline) and 4 (real threads); the
     // queries include exact copies (distance 0), noisy supersets,
@@ -322,9 +322,10 @@ TEST(Identify, BatchMatchesSerialOnRandomDatabases)
 
             for (unsigned lanes : {1u, 4u}) {
                 ThreadPool pool(lanes);
+                ScanOnlyEngine engine(db);
+                engine.setThreadPool(&pool);
                 AttackStats stats;
-                const auto batch = identifyErrorStringBatch(
-                    queries, db, p, &pool, &stats);
+                const auto batch = engine.queryBatch(queries, p, &stats);
                 ASSERT_EQ(batch.size(), serial.size());
                 for (std::size_t q = 0; q < serial.size(); ++q) {
                     EXPECT_EQ(batch[q].match, serial[q].match)
@@ -338,8 +339,7 @@ TEST(Identify, BatchMatchesSerialOnRandomDatabases)
                 // Single-query sharded scan, same contract.
                 for (std::size_t q = 0; q < queries.size(); ++q) {
                     const IdentifyResult r =
-                        identifyErrorStringParallel(queries[q], db,
-                                                    p, pool);
+                        engine.query(queries[q], p);
                     EXPECT_EQ(r.match, serial[q].match);
                     EXPECT_EQ(r.nearest, serial[q].nearest);
                     EXPECT_EQ(r.bestDistance,

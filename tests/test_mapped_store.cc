@@ -228,6 +228,12 @@ TEST(MappedStore, CorruptHeadersAreRejected)
     rejects(32, char(store.size() + 1), "inflated record count");
     rejects(56, 1, "file size mismatch");
     rejects(72, 1, "non-canonical signature offset");
+    // Record 2's universe, 4096 -> 8192 (byte 1 of its u64 field):
+    // every record must span one universe, since the scan kernels
+    // read the query's words at each stored position.
+    static_assert(universeBits == 0x1000);
+    rejects(pcdb::v3HeaderBytes + 2 * pcdb::v3RecordEntryBytes + 17,
+            0x20, "record of a different universe width");
 
     // Appending trailing garbage breaks the fileSize == mapping
     // length invariant.

@@ -418,6 +418,75 @@ TEST(Server, HostileInputsGetCleanErrorClose)
         EXPECT_EQ(*r.opcode, Opcode::Error);
     }
     expectServerAlive();
+
+    {
+        // Complete, well-formed identify whose error string is 16
+        // bits against 4096-bit records: refused, never scanned.
+        Client c;
+        ASSERT_EQ(c.connect(fx.server.port()), "");
+        IdentifyRequest req;
+        req.errorString = BitVec(16);
+        req.errorString.set(3);
+        const Reply r = c.exchange(encodeIdentify(req));
+        ASSERT_TRUE(r.ok());
+        EXPECT_EQ(*r.opcode, Opcode::Error);
+        const Reply next = c.exchange(encodeEmpty(Opcode::DbStats));
+        EXPECT_FALSE(next.ok());
+    }
+    expectServerAlive();
+}
+
+TEST(Server, ServedRejectCarriesItsOwnStats)
+{
+    // Served verdicts go through the batcher's identifyBatch; each
+    // must still report the counters of its own query.
+    ServerFixture fx(40);
+    Client client;
+    ASSERT_EQ(client.connect(fx.server.port()), "");
+    Rng rng(0x43);
+    IdentifyRequest req;
+    req.errorString = randomPattern(rng, 64);
+    const std::optional<IdentifyVerdict> served =
+        client.identify(req, 4);
+    ASSERT_TRUE(served.has_value());
+    EXPECT_FALSE(served->matched);
+    EXPECT_EQ(served->delta.recordsAvailable, 40u);
+    EXPECT_EQ(served->delta.indexFallbacks, 1u);
+}
+
+TEST(Server, MappedBackendServesJaccardLikeInMemory)
+{
+    const std::string path = "serve_mapped_jaccard_test.pcdb";
+    AttackService owned(makeStore(20, 0x63));
+    ASSERT_TRUE(saveStore(*owned.store(), path));
+    LoadResult<AttackService> mapped = AttackService::open(path, true);
+    ASSERT_TRUE(mapped) << mapped.error;
+    Server memServer(owned, {});
+    Server mapServer(*mapped, {});
+
+    Client mem, map;
+    ASSERT_EQ(mem.connect(memServer.port()), "");
+    ASSERT_EQ(map.connect(mapServer.port()), "");
+    Rng rng(0x64);
+    for (int i = 0; i < 12; ++i) {
+        IdentifyRequest req;
+        req.errorString = i % 2 == 0
+                              ? owned.store()->record(i).fingerprint.bits()
+                              : randomPattern(rng, 64);
+        for (int b = 0; b < 8; ++b)
+            req.errorString.set(rng.nextBelow(universe));
+        req.options.metric = DistanceMetric::Jaccard;
+        req.options.threshold = 0.5;
+        const std::optional<IdentifyVerdict> a = mem.identify(req, 4);
+        const std::optional<IdentifyVerdict> b = map.identify(req, 4);
+        ASSERT_TRUE(a.has_value());
+        ASSERT_TRUE(b.has_value());
+        EXPECT_EQ(a->matched, i % 2 == 0);
+        EXPECT_EQ(a->matched, b->matched);
+        EXPECT_EQ(a->label, b->label);
+        EXPECT_TRUE(sameBits(a->distance, b->distance));
+    }
+    std::remove(path.c_str());
 }
 
 TEST(Server, BusyBackpressureIsExplicit)

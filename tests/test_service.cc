@@ -384,6 +384,90 @@ TEST(AttackService, RefusedJournalAppendRefusesTheAck)
     EXPECT_EQ(svc->size(), 1u);
 }
 
+TEST(AttackService, WrongWidthAddIsRefusedAndNotJournaled)
+{
+    DurableFixture fx;
+    LoadResult<AttackService> svc =
+        AttackService::openDurable(fx.config());
+    ASSERT_TRUE(svc) << svc.error;
+    Rng rng(0xD3);
+    ASSERT_TRUE(
+        svc->addRecord("wide", Fingerprint(randomPattern(rng, 32)))
+            .added);
+
+    BitVec narrow(16);
+    narrow.set(3);
+    const AttackService::AddOutcome out =
+        svc->addRecord("narrow", Fingerprint(narrow));
+    EXPECT_FALSE(out.added);
+    EXPECT_FALSE(out.error.empty());
+    const AttackService::AddOutcome mixed = svc->addFingerprint(
+        "mixed", {randomPattern(rng, 32), narrow});
+    EXPECT_FALSE(mixed.added);
+    EXPECT_EQ(svc->size(), 1u);
+    EXPECT_EQ(svc->walEntries(), 1u);
+
+    // The fallback scan still runs over well-formed records only.
+    IdentifyRequest req;
+    req.errorString = randomPattern(rng, 64);
+    EXPECT_FALSE(svc->identify(req).matched);
+    EXPECT_EQ(svc->snapshot().indexFallbacks, 1u);
+}
+
+TEST(AttackService, WrongWidthQueryIsRefused)
+{
+    AttackService svc(makeStore(10, 0x66));
+    IdentifyRequest req;
+    req.errorString = BitVec(16);
+    const IdentifyVerdict v = svc.identify(req);
+    EXPECT_FALSE(v.matched);
+    EXPECT_FALSE(v.error.empty());
+
+    // In a batch, only the wrong-width element is refused.
+    std::vector<BitVec> batch = makeQueries(*svc.store(), 0, 0x6);
+    batch.insert(batch.begin() + 3, BitVec(16));
+    const std::vector<IdentifyVerdict> verdicts =
+        svc.identifyBatch(batch, {});
+    ASSERT_EQ(verdicts.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        EXPECT_EQ(verdicts[i].error.empty(), i != 3) << i;
+        EXPECT_EQ(verdicts[i].matched, i != 3) << i;
+    }
+    const std::vector<IdentifyVerdict> none =
+        svc.identifyBatch({BitVec(16)}, {});
+    ASSERT_EQ(none.size(), 1u);
+    EXPECT_FALSE(none[0].error.empty());
+}
+
+TEST(AttackService, BatchVerdictsCarryPerQueryStats)
+{
+    AttackService svc(makeStore(30, 0x67));
+    svc.setThreadPool(&ThreadPool::global());
+    const std::vector<BitVec> queries =
+        makeQueries(*svc.store(), 4, 0x8);
+    const std::vector<IdentifyVerdict> batch =
+        svc.identifyBatch(queries, {});
+    AttackStats sum;
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+        IdentifyRequest req;
+        req.errorString = queries[i];
+        const IdentifyVerdict solo = svc.identify(req);
+        EXPECT_EQ(batch[i].delta.recordsAvailable, 30u);
+        EXPECT_EQ(batch[i].delta.indexQueries, 1u);
+        EXPECT_EQ(batch[i].delta.indexFallbacks,
+                  solo.delta.indexFallbacks);
+        EXPECT_EQ(batch[i].delta.candidatesScanned,
+                  solo.delta.candidatesScanned);
+        sum += batch[i].delta;
+    }
+    // The per-query deltas add up to what snapshot() counted for
+    // the batch (the solo identifies doubled every counter).
+    const AttackStats total = svc.snapshot();
+    EXPECT_EQ(total.indexQueries, 2 * sum.indexQueries);
+    EXPECT_EQ(total.indexFallbacks, 2 * sum.indexFallbacks);
+    EXPECT_EQ(total.recordsAvailable, 2 * sum.recordsAvailable);
+}
+
 TEST(AttackService, CheckpointCompactsTheJournal)
 {
     DurableFixture fx;

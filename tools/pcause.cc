@@ -235,6 +235,8 @@ cmdIdentify(const Args &args)
     if (!svc)
         fatal("identify: %s", svc.error.c_str());
     const IdentifyVerdict v = svc->identify(req);
+    if (!v.error.empty())
+        fatal("identify: %s", v.error.c_str());
 
     if (!req.options.linear) {
         std::printf("index: %llu of %llu records shortlisted%s\n",
