@@ -157,9 +157,7 @@ runChild(const std::string &dir, std::size_t base, std::size_t adds,
         if (j % 8 == 3 && svc->size() > 0) {
             IdentifyRequest req;
             req.errorString =
-                svc->store()
-                    ->record(rng.nextBelow(svc->size()))
-                    .fingerprint.bits();
+                svc->store()->fingerprint(rng.nextBelow(svc->size())).bits();
             (void)svc->identify(req);
         }
     }
@@ -343,11 +341,10 @@ main(int argc, char **argv)
             ++lost;
             continue;
         }
-        const FingerprintRecord &rec = store.record(records + k);
-        if (rec.label != "chaos-" + std::to_string(k) ||
-            !(rec.fingerprint.bits() ==
-              chaosFingerprint(k).bits()) ||
-            rec.fingerprint.sources() != chaosSources)
+        const std::size_t i = records + k;
+        if (store.label(i) != "chaos-" + std::to_string(k) ||
+            !(store.fingerprint(i).bits() == chaosFingerprint(k).bits()) ||
+            store.sources(i) != chaosSources)
             ++lost;
     }
     if (lost > 0) {
@@ -360,9 +357,9 @@ main(int argc, char **argv)
     // recovery may keep durable-but-unacked tails, never invent.
     std::size_t invented = 0;
     for (std::size_t k = 0; k < chaosRecords; ++k) {
-        const FingerprintRecord &rec = store.record(records + k);
-        if (rec.label != "chaos-" + std::to_string(k) ||
-            !(rec.fingerprint.bits() == chaosFingerprint(k).bits()))
+        const std::size_t i = records + k;
+        if (store.label(i) != "chaos-" + std::to_string(k) ||
+            !(store.fingerprint(i).bits() == chaosFingerprint(k).bits()))
             ++invented;
     }
     if (invented > 0) {

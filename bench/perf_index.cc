@@ -16,7 +16,9 @@
  * Enforced gates (exit nonzero):
  *   - zero accept/reject divergences from the linear Algorithm 2,
  *     for the in-memory index and the mmap-ed v3 database alike;
- *   - the 5x indexed-query speedup floor at 10k records;
+ *   - the 5x indexed-query speedup floor at 10k records, with the
+ *     linear and indexed loops each timed as the best of
+ *     timingPasses passes over the same queries;
  *   - the mean candidates-scanned ceiling at every population — the
  *     knob that makes "candidate sets stop scaling with population"
  *     falsifiable rather than aspirational;
@@ -28,6 +30,7 @@
  * job; --full is the scheduled nightly configuration.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -55,6 +58,10 @@ constexpr std::size_t noiseBits = 64; //!< extra error-string bits
 constexpr unsigned knownPerUnknown = 15; //!< 15:1 known:unknown mix
 constexpr double speedupFloor = 5.0;
 constexpr std::size_t floorPopulation = 10000;
+
+/** Passes over the query set per serial loop; the fastest is the
+ *  reported time, so one burst of host load cannot fail the floor. */
+constexpr int timingPasses = 3;
 
 /** Mean shortlist size must stay under this at every population —
  *  candidate sets may not scale with the database. */
@@ -173,7 +180,7 @@ runPopulation(std::size_t num_records, std::size_t num_queries,
             queries[q].errorString = randomPattern(rng, fingerprintWeight);
         } else {
             const std::size_t rec = rng.nextBelow(num_records);
-            BitVec es = store.record(rec).fingerprint.bits();
+            BitVec es = store.fingerprint(rec).bits();
             for (std::size_t i = 0; i < noiseBits; ++i)
                 es.set(rng.nextBelow(universeBits));
             queries[q] = {std::move(es), rec};
@@ -181,24 +188,35 @@ runPopulation(std::size_t num_records, std::size_t num_queries,
         }
     }
 
-    // --- Linear reference (serial bounded full scan) --------------
+    // --- Linear reference (serial bounded full scan) and indexed ---
+    // --- (serial loop; per-phase counters), best of timingPasses --
+    // Every pass's indexed verdicts are diffed against that pass's
+    // linear ones, not just the pass whose time is kept.
     const IdentifyParams prm;
-    std::vector<IdentifyResult> linear(num_queries);
-    const auto lin_start = std::chrono::steady_clock::now();
-    for (std::size_t q = 0; q < num_queries; ++q)
-        linear[q] = store.queryLinear(queries[q].errorString, prm);
-    res.linearSeconds = secondsSince(lin_start) / num_queries;
-
-    // --- Indexed (serial loop; per-phase counters) ----------------
     store.setThreadPool(nullptr); // keep the fallback scan serial
-    AttackStats indexed_stats;
+    std::vector<IdentifyResult> linear(num_queries);
     std::vector<IdentifyResult> indexed(num_queries);
-    const auto idx_start = std::chrono::steady_clock::now();
-    for (std::size_t q = 0; q < num_queries; ++q) {
-        indexed[q] =
-            store.query(queries[q].errorString, prm, &indexed_stats);
+    AttackStats indexed_stats;
+    for (int pass = 0; pass < timingPasses; ++pass) {
+        const auto lin_start = std::chrono::steady_clock::now();
+        for (std::size_t q = 0; q < num_queries; ++q)
+            linear[q] = store.queryLinear(queries[q].errorString, prm);
+        const double lin = secondsSince(lin_start) / num_queries;
+
+        indexed_stats = AttackStats{};
+        const auto idx_start = std::chrono::steady_clock::now();
+        for (std::size_t q = 0; q < num_queries; ++q) {
+            indexed[q] =
+                store.query(queries[q].errorString, prm, &indexed_stats);
+        }
+        const double idx = secondsSince(idx_start) / num_queries;
+
+        res.linearSeconds = pass == 0 ? lin : std::min(res.linearSeconds, lin);
+        res.indexedSeconds =
+            pass == 0 ? idx : std::min(res.indexedSeconds, idx);
+        for (std::size_t q = 0; q < num_queries; ++q)
+            res.divergences += linear[q].match != indexed[q].match;
     }
-    res.indexedSeconds = secondsSince(idx_start) / num_queries;
     res.meanCandidates =
         static_cast<double>(indexed_stats.candidatesScanned) /
         num_queries;
@@ -225,10 +243,7 @@ runPopulation(std::size_t num_records, std::size_t num_queries,
     // scan on every query (distinct random fingerprints never share
     // a sub-threshold distance, so even firstMatch indices match).
     for (std::size_t q = 0; q < num_queries; ++q) {
-        const bool same =
-            linear[q].match == indexed[q].match &&
-            linear[q].match == batched[q].match;
-        if (!same)
+        if (linear[q].match != batched[q].match)
             ++res.divergences;
         if (queries[q].truth != linear[q].match)
             ++res.wrongMatches; // reference itself must be right

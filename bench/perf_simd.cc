@@ -348,8 +348,7 @@ endToEnd()
 
     std::vector<BitVec> queries(numQueries);
     for (std::size_t q = 0; q < numQueries; ++q) {
-        BitVec es =
-            store.record(rng.nextBelow(numRecords)).fingerprint.bits();
+        BitVec es = store.fingerprint(rng.nextBelow(numRecords)).bits();
         for (std::size_t i = 0; i < 64; ++i)
             es.set(rng.nextBelow(universeBits));
         queries[q] = std::move(es);

@@ -39,7 +39,7 @@ main(int argc, char **argv)
         attacker.interceptChip(h, "machine-" + std::to_string(c));
     }
     std::printf("attacker pre-characterized %zu machines\n\n",
-                attacker.database().size());
+                attacker.store().size());
 
     // --- The victim's workload ----------------------------------
     const unsigned victim = 2;

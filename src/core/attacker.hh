@@ -109,9 +109,6 @@ class SupplyChainAttacker
     /** The indexed fingerprint store backing this attacker. */
     const FingerprintStore &store() const { return *svc.store(); }
 
-    /** The accumulated fingerprint database (view into store()). */
-    const FingerprintDb &database() const { return *svc.db(); }
-
     /** Session counters and per-phase wall time (characterization
      *  time plus the facade's query counters, merged). */
     const AttackStats &stats() const;

@@ -268,6 +268,13 @@ fullScan(std::size_t n, const IdentifyParams &params, ThreadPool *pool,
 
 } // anonymous namespace
 
+std::uint64_t
+CandidateEngine::universeBits() const
+{
+    const SparseFingerprintSource &fps = sparseFingerprints();
+    return fps.count() ? fps.view(0).universe : 0;
+}
+
 IdentifyResult
 CandidateEngine::search(const BitVec &error_string,
                         const IdentifyParams &params, bool indexed,

@@ -34,6 +34,7 @@
 #define PCAUSE_CORE_CANDIDATE_ENGINE_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/attack_stats.hh"
@@ -63,6 +64,12 @@ class CandidateEngine
      */
     virtual std::vector<std::size_t>
     candidates(const MinHashSketch &sketch) const = 0;
+
+    /**
+     * The one universe width every record shares (both stores refuse
+     * records of another width); 0 while there are no records.
+     */
+    std::uint64_t universeBits() const;
 
     /**
      * Use @p pool (not owned) for single-query fallback scans and

@@ -64,28 +64,4 @@ SparseFingerprintArena::add(const BitVec &pattern)
     universes.push_back(pattern.size());
 }
 
-void
-SparseFingerprintArena::addPositions(const std::uint32_t *positions,
-                                     std::size_t position_count,
-                                     std::uint64_t universe_bits)
-{
-    for (std::size_t p = 0; p < position_count; ++p) {
-        PC_ASSERT(positions[p] < universe_bits &&
-                      (p == 0 || positions[p - 1] < positions[p]),
-                  "addPositions: positions must be ascending and in "
-                  "universe");
-        arena.push_back(positions[p]);
-    }
-    offsets.push_back(arena.size());
-    universes.push_back(universe_bits);
-}
-
-void
-SparseFingerprintArena::clear()
-{
-    arena.clear();
-    offsets.assign(1, 0);
-    universes.clear();
-}
-
 } // namespace pcause

@@ -101,14 +101,6 @@ class SparseFingerprintArena : public SparseFingerprintSource
     /** Append @p pattern's set bits as the next record. */
     void add(const BitVec &pattern);
 
-    /**
-     * Append an already-sorted position list (ascending, unique,
-     * each < @p universe_bits) as the next record.
-     */
-    void addPositions(const std::uint32_t *positions,
-                      std::size_t position_count,
-                      std::uint64_t universe_bits);
-
     /** Total positions stored across all records. */
     std::size_t totalPositions() const { return arena.size(); }
 
@@ -117,9 +109,6 @@ class SparseFingerprintArena : public SparseFingerprintSource
      *  32-byte aligned for the SIMD scan kernels; element layout is
      *  the v3 on-disk layout. */
     const PosVec &positions() const { return arena; }
-
-    /** Drop all records. */
-    void clear();
 
   private:
     PosVec arena;

@@ -68,16 +68,16 @@ identify(const BitVec &approx, const BitVec &exact,
 
 IdentifyResult
 identifyWithData(const BitVec &approx, const BitVec &exact,
-                 const DramConfig &config, const FingerprintDb &db,
+                 const DramConfig &config,
+                 const SparseFingerprintSource &fps,
                  const IdentifyParams &params)
 {
     const BitVec es = errorString(approx, exact);
     const BitVec mask = maskableCells(exact, config);
 
     IdentifyResult res;
-    for (std::size_t i = 0; i < db.size(); ++i) {
-        const BitVec masked_fp =
-            db.record(i).fingerprint.bits() & mask;
+    for (std::size_t i = 0; i < fps.count(); ++i) {
+        const BitVec masked_fp = toBitVec(fps.view(i)) & mask;
         if (masked_fp.none()) {
             // The data charges none of this fingerprint's cells:
             // the output carries no evidence about this chip either

@@ -114,20 +114,21 @@ IdentifyResult identifyErrorString(const BitVec &error_string,
  * Data-aware identification: with real (non-worst-case) data only
  * cells written opposite their default value can decay, so a plain
  * comparison under-counts fingerprint hits. This variant masks
- * every database fingerprint down to the cells the published data
+ * every known fingerprint down to the cells the published data
  * actually charged (the attacker knows the exact data — they
  * recomputed it for the error string) before measuring distance.
  *
  * @param approx  the approximate output
  * @param exact   its exact counterpart
  * @param config  device layout determining default values
- * @param db      known system-level fingerprints
+ * @param fps     known system-level fingerprints (e.g. a store's
+ *                sparseFingerprints())
  * @param params  threshold and metric
  */
 IdentifyResult identifyWithData(const BitVec &approx,
                                 const BitVec &exact,
                                 const DramConfig &config,
-                                const FingerprintDb &db,
+                                const SparseFingerprintSource &fps,
                                 const IdentifyParams &params = {});
 
 /**

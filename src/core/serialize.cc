@@ -201,6 +201,8 @@ parseV3(Reader &r, RawDatabase &out)
             return "record with zero sources";
         if (e.posCount > e.universe)
             return "more positions than universe bits";
+        if (i > 0 && e.universe != entries.front().universe)
+            return "records of differing universe widths";
         next_label += e.labelLen;
         next_pos += e.posCount;
         entries.push_back(e);
@@ -338,6 +340,8 @@ parseDatabase(std::istream &in, RawDatabase &out)
             return "record with zero sources";
         if (positions > universe)
             return "more positions than universe bits";
+        if (i > 0 && universe != out.records.front().bits.size())
+            return "records of differing universe widths";
 
         rec.bits = BitVec(universe);
         for (std::uint64_t p = 0; p < positions; ++p) {
@@ -361,40 +365,6 @@ parseDatabase(std::istream &in, RawDatabase &out)
     return "";
 }
 
-/** Write one v2 record. */
-void
-writeRecord(std::ostream &out, const FingerprintRecord &rec,
-            const MinHashSignature &sig)
-{
-    writeScalar<std::uint32_t>(
-        out, static_cast<std::uint32_t>(rec.label.size()));
-    out.write(rec.label.data(),
-              static_cast<std::streamsize>(rec.label.size()));
-    writeScalar<std::uint32_t>(out, rec.fingerprint.sources());
-    writeScalar<std::uint64_t>(out, rec.fingerprint.bits().size());
-
-    const auto positions = rec.fingerprint.bits().setBits();
-    writeScalar<std::uint64_t>(out, positions.size());
-    for (auto pos : positions)
-        writeScalar<std::uint32_t>(out,
-                                   static_cast<std::uint32_t>(pos));
-    for (auto h : sig)
-        writeScalar<std::uint32_t>(out, h);
-}
-
-/** Write the v2 header for @p params and @p count records. */
-void
-writeHeader(std::ostream &out, const MinHashParams &params,
-            std::uint64_t count)
-{
-    out.write(dbMagic, sizeof(dbMagic));
-    writeScalar<std::uint32_t>(out, dbVersionV2);
-    writeScalar<std::uint32_t>(out, params.numHashes);
-    writeScalar<std::uint32_t>(out, params.bands);
-    writeScalar<std::uint64_t>(out, params.seed);
-    writeScalar<std::uint64_t>(out, count);
-}
-
 /** Write @p n zero bytes (section padding). */
 void
 writePad(std::ostream &out, std::uint64_t n)
@@ -411,28 +381,6 @@ writePad(std::ostream &out, std::uint64_t n)
 } // anonymous namespace
 
 bool
-saveDatabase(const FingerprintDb &db, std::ostream &out)
-{
-    const MinHashParams params;
-    writeHeader(out, params, db.size());
-    for (std::size_t i = 0; i < db.size(); ++i) {
-        const FingerprintRecord &rec = db.record(i);
-        writeRecord(out, rec,
-                    minhashSignature(rec.fingerprint.bits(), params));
-    }
-    return out.good();
-}
-
-bool
-saveDatabase(const FingerprintDb &db, const std::string &path)
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        return false;
-    return saveDatabase(db, out);
-}
-
-bool
 saveStore(const FingerprintStore &store, std::ostream &out)
 {
     const MinHashParams &prm = store.indexParams();
@@ -441,7 +389,7 @@ saveStore(const FingerprintStore &store, std::ostream &out)
 
     std::uint64_t label_bytes = 0;
     for (std::size_t i = 0; i < n; ++i)
-        label_bytes += store.record(i).label.size();
+        label_bytes += store.label(i).size();
     const std::uint64_t total_pos = sparse.totalPositions();
 
     const pcdb::V3Layout lay = pcdb::v3Layout(
@@ -468,18 +416,18 @@ saveStore(const FingerprintStore &store, std::ostream &out)
     // --- record table (canonical running arena offsets) -----------
     std::uint64_t next_label = 0, next_pos = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        const FingerprintRecord &rec = store.record(i);
+        const ChipLabel &label = store.label(i);
         const SparseView v = sparse.view(i);
         writeScalar<std::uint64_t>(out, next_label);
         writeScalar<std::uint64_t>(out, next_pos);
         writeScalar<std::uint64_t>(out, v.universe);
         writeScalar<std::uint32_t>(
-            out, static_cast<std::uint32_t>(rec.label.size()));
+            out, static_cast<std::uint32_t>(label.size()));
         writeScalar<std::uint32_t>(
             out, static_cast<std::uint32_t>(v.count));
-        writeScalar<std::uint32_t>(out, rec.fingerprint.sources());
+        writeScalar<std::uint32_t>(out, store.sources(i));
         writeScalar<std::uint32_t>(out, 0); // reserved
-        next_label += rec.label.size();
+        next_label += label.size();
         next_pos += v.count;
     }
 
@@ -504,7 +452,7 @@ saveStore(const FingerprintStore &store, std::ostream &out)
 
     // --- label arena ----------------------------------------------
     for (std::size_t i = 0; i < n; ++i) {
-        const ChipLabel &label = store.record(i).label;
+        const ChipLabel &label = store.label(i);
         out.write(label.data(),
                   static_cast<std::streamsize>(label.size()));
     }
@@ -594,31 +542,6 @@ saveStoreDurable(const FingerprintStore &store,
         ::close(dfd);
     }
     return true;
-}
-
-DbLoadResult
-loadDatabase(std::istream &in)
-{
-    RawDatabase raw;
-    const std::string err = parseDatabase(in, raw);
-    if (!err.empty())
-        return {std::nullopt, "loadDatabase: " + err};
-
-    FingerprintDb db;
-    for (RawRecord &rec : raw.records) {
-        db.add(std::move(rec.label),
-               Fingerprint(std::move(rec.bits), rec.sources));
-    }
-    return {std::move(db), ""};
-}
-
-DbLoadResult
-loadDatabase(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return {std::nullopt, "loadDatabase: cannot open " + path};
-    return loadDatabase(in);
 }
 
 StoreLoadResult

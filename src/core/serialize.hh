@@ -19,7 +19,7 @@
  * MappedStore (core/mapped_store) queries a v3 file in place without
  * loading it.
  *
- * Format v2 (written by saveDatabase, read transparently):
+ * Format v2 (read only; no writer remains):
  *   magic "PCDB", u32 version = 2,
  *   u32 minhash hashes (k), u32 minhash bands, u64 minhash seed,
  *   u64 record count, then per record:
@@ -28,10 +28,14 @@
  *     u64 position count, u32 positions[],
  *     u32 signature[k]            (MinHash signature, core/minhash)
  *
- * loadStore()/loadDatabase() accept v1, v2 and v3 with identical
- * resulting stores: v1 files (no minhash header fields, no
- * signatures) get signatures recomputed on load, and v3's extra LSH
- * trailer is validated and then rebuilt from the signatures.
+ * Format v1 (read only) is v2 without the minhash header fields
+ * and without the per-record signatures.
+ *
+ * loadStore() accepts v1, v2 and v3 with identical resulting
+ * stores: v1 files get signatures recomputed on load, and v3's
+ * extra LSH trailer is validated and then rebuilt from the
+ * signatures. Every record of a file must span one universe width;
+ * a file mixing widths is refused.
  *
  * Loading is recoverable: malformed input produces a LoadResult
  * carrying an error string instead of killing the process, so a
@@ -47,7 +51,6 @@
 #include <optional>
 #include <string>
 
-#include "core/identify.hh"
 #include "core/store.hh"
 
 namespace pcause
@@ -76,15 +79,7 @@ struct LoadResult
     const T *operator->() const { return &*value; }
 };
 
-using DbLoadResult = LoadResult<FingerprintDb>;
 using StoreLoadResult = LoadResult<FingerprintStore>;
-
-/** Serialize @p db to a stream (v2, signatures computed under
- *  default MinHashParams). Returns false on IO failure. */
-bool saveDatabase(const FingerprintDb &db, std::ostream &out);
-
-/** Serialize @p db to @p path. Returns false on IO failure. */
-bool saveDatabase(const FingerprintDb &db, const std::string &path);
 
 /** Serialize @p store (its own index parameters, signatures, and
  *  LSH buckets) as a mmap-able v3 file. Returns false on IO
@@ -108,20 +103,12 @@ bool saveStoreDurable(const FingerprintStore &store,
                       std::string *error = nullptr);
 
 /**
- * Load a database from a stream. Malformed, truncated, or
- * version-incompatible input yields a failed result with an error
- * string — never a process exit. Signatures in v2 files are
- * skipped (the plain database carries none).
- */
-DbLoadResult loadDatabase(std::istream &in);
-
-/** Load a database from @p path. */
-DbLoadResult loadDatabase(const std::string &path);
-
-/**
  * Load an indexed FingerprintStore: v2/v3 files restore the stored
  * index parameters and per-record signatures without rehashing; v1
  * files get signatures recomputed under default MinHashParams.
+ * Malformed, truncated, mixed-width or version-incompatible input
+ * yields a failed result with an error string — never a process
+ * exit.
  */
 StoreLoadResult loadStore(std::istream &in);
 

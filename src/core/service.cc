@@ -203,12 +203,12 @@ AttackService::backend() const
 std::string
 AttackService::widthMismatch(std::size_t bits) const
 {
-    const SparseFingerprintSource &fps = backend().sparseFingerprints();
-    if (fps.count() == 0 || fps.view(0).universe == bits)
+    const std::uint64_t width = backend().universeBits();
+    if (size() == 0 || width == bits)
         return {};
     return "error string is " + std::to_string(bits) +
-           " bits; the database holds " +
-           std::to_string(fps.view(0).universe) + "-bit records";
+           " bits; the database holds " + std::to_string(width) +
+           "-bit records";
 }
 
 IdentifyVerdict
@@ -381,12 +381,11 @@ AttackService::dbStats() const
     } else {
         s.backend = "mmap";
     }
+    s.universeBits = static_cast<std::size_t>(backend().universeBits());
     const SparseFingerprintSource &fps = backend().sparseFingerprints();
     for (std::size_t i = 0; i < fps.count(); ++i) {
         const SparseView v = fps.view(i);
         s.volatileCells += v.count;
-        if (v.universe > s.universeBits)
-            s.universeBits = static_cast<std::size_t>(v.universe);
         s.diskBytesEstimate += recordDiskSize(
             v.count, label(i).size(), s.indexParams.numHashes);
     }
@@ -436,7 +435,7 @@ std::string
 AttackService::label(std::size_t i) const
 {
     if (owned)
-        return owned->record(i).label;
+        return owned->label(i);
     return std::string(mapped->label(i));
 }
 

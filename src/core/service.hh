@@ -334,12 +334,6 @@ class AttackService
         return owned ? &*owned : nullptr;
     }
 
-    /** The wrapped plain database, or null when mapped. */
-    const FingerprintDb *db() const
-    {
-        return owned ? &owned->db() : nullptr;
-    }
-
     /** Label of record @p i (copied; safe past the call). */
     std::string label(std::size_t i) const;
 

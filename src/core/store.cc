@@ -61,24 +61,33 @@ FingerprintStore::addWithSignature(ChipLabel label, Fingerprint fp,
     }
     PC_ASSERT(sig.size() == lsh.params().numHashes,
               "FingerprintStore: signature length mismatch");
+    PC_ASSERT(empty() || fp.bits().size() == universeBits(),
+              "FingerprintStore: record width differs from the store's");
+    const std::size_t i = size();
     sparse.add(fp.bits());
-    const std::size_t i = records.add(std::move(label), std::move(fp));
+    labels.push_back(std::move(label));
+    sourceCounts.push_back(fp.sources());
     lsh.add(i, sig);
     signatures.push_back(std::move(sig));
     return i;
 }
 
 void
-FingerprintStore::addBatch(std::vector<ChipLabel> labels,
+FingerprintStore::addBatch(std::vector<ChipLabel> new_labels,
                            std::vector<Fingerprint> fps)
 {
-    PC_ASSERT(labels.size() == fps.size(),
+    PC_ASSERT(new_labels.size() == fps.size(),
               "addBatch: label/fingerprint count mismatch");
-    if (labels.empty())
+    if (fps.empty())
         return;
+    const std::uint64_t width =
+        empty() ? fps.front().bits().size() : universeBits();
+    for (const Fingerprint &fp : fps)
+        PC_ASSERT(fp.bits().size() == width,
+                  "addBatch: record width differs from the store's");
 
     ThreadPool &pool = threadPool() ? *threadPool() : ThreadPool::global();
-    const std::size_t first = records.size();
+    const std::size_t first = size();
     const MinHashParams &prm = lsh.params();
 
     // Signatures are pure functions of (fingerprint, params):
@@ -94,9 +103,32 @@ FingerprintStore::addBatch(std::vector<ChipLabel> labels,
 
     for (std::size_t i = 0; i < fps.size(); ++i) {
         sparse.add(fps[i].bits());
-        records.add(std::move(labels[i]), std::move(fps[i]));
+        labels.push_back(std::move(new_labels[i]));
+        sourceCounts.push_back(fps[i].sources());
         signatures.push_back(std::move(sigs[i]));
+        fps[i] = Fingerprint(); // the arena now holds its only copy
     }
+}
+
+const ChipLabel &
+FingerprintStore::label(std::size_t i) const
+{
+    PC_ASSERT(i < labels.size(), "FingerprintStore label index out of range");
+    return labels[i];
+}
+
+std::uint32_t
+FingerprintStore::sources(std::size_t i) const
+{
+    PC_ASSERT(i < sourceCounts.size(),
+              "FingerprintStore sources index out of range");
+    return sourceCounts[i];
+}
+
+Fingerprint
+FingerprintStore::fingerprint(std::size_t i) const
+{
+    return Fingerprint(toBitVec(sparse.view(i)), sources(i));
 }
 
 const MinHashSignature &
@@ -119,17 +151,18 @@ void
 FingerprintStore::reindex(const MinHashParams &new_params)
 {
     LshIndex next(new_params);
-    std::vector<MinHashSignature> sigs(records.size());
+    std::vector<MinHashSignature> sigs(size());
 
+    // Each record is hashed from its own dense rebuild, so signatures
+    // are exactly those add() computed from the original bits.
     ThreadPool *pool = threadPool();
     const auto hashRecord = [&](std::size_t i) {
-        sigs[i] = minhashSignature(records.record(i).fingerprint.bits(),
-                                   new_params);
+        sigs[i] = minhashSignature(toBitVec(sparse.view(i)), new_params);
     };
     if (pool) {
-        pool->parallelFor(0, records.size(), hashRecord);
+        pool->parallelFor(0, size(), hashRecord);
     } else {
-        for (std::size_t i = 0; i < records.size(); ++i)
+        for (std::size_t i = 0; i < size(); ++i)
             hashRecord(i);
     }
     next.addAll(0, sigs, pool);

@@ -2,14 +2,15 @@
  * @file
  * FingerprintStore: the attacker database behind one API.
  *
- * Keeps the records (labels, the dense FingerprintDb mirror, the
- * sparse position arena and MinHash signatures) and an in-memory
- * MinHash/LSH bucket index (core/minhash). Queries run on the
- * shared CandidateEngine (core/candidate_engine.hh): the LSH index
- * supplies the shortlist, the engine confirms it with the exact
- * kernel and falls back to the full scan, so accept/reject always
- * equals the paper's linear Algorithm 2 (see docs/ALGORITHMS.md
- * "Fingerprint index").
+ * Keeps the records (labels, source counts, the sparse position
+ * arena — the only copy of each fingerprint — and MinHash
+ * signatures) and an in-memory MinHash/LSH bucket index
+ * (core/minhash). Every record spans one universe width. Queries
+ * run on the shared CandidateEngine (core/candidate_engine.hh): the
+ * LSH index supplies the shortlist, the engine confirms it with the
+ * exact kernel and falls back to the full scan, so accept/reject
+ * always equals the paper's linear Algorithm 2 (see
+ * docs/ALGORITHMS.md "Fingerprint index").
  */
 
 #ifndef PCAUSE_CORE_STORE_HH
@@ -27,7 +28,7 @@ namespace pcause
 
 class ThreadPool;
 
-/** Indexed attacker database: FingerprintDb + LSH candidate index. */
+/** Indexed attacker database: sparse records + LSH candidate index. */
 class FingerprintStore : public CandidateEngine
 {
   public:
@@ -39,7 +40,8 @@ class FingerprintStore : public CandidateEngine
 
     /**
      * Add a record: the signature is computed and indexed
-     * incrementally, no rebuild. Returns the record index.
+     * incrementally, no rebuild. Returns the record index. The
+     * fingerprint must span universeBits() once a record exists.
      */
     std::size_t add(ChipLabel label, Fingerprint fp);
 
@@ -65,25 +67,28 @@ class FingerprintStore : public CandidateEngine
      * resulting store is bit-identical to serial add() calls in
      * order — signatures are order-independent and each band's
      * buckets see records in ascending id order either way.
-     * @p labels and @p fps pair up elementwise and are consumed.
+     * @p new_labels and @p fps pair up elementwise and are consumed:
+     * each dense fingerprint is released once its positions are in
+     * the arena, so a build never holds the population twice.
      */
-    void addBatch(std::vector<ChipLabel> labels,
+    void addBatch(std::vector<ChipLabel> new_labels,
                   std::vector<Fingerprint> fps);
 
     /** Number of records. */
-    std::size_t size() const { return records.size(); }
+    std::size_t size() const { return labels.size(); }
 
     /** True when no record has been added. */
-    bool empty() const { return records.size() == 0; }
+    bool empty() const { return labels.empty(); }
 
-    /** Record @p i. */
-    const FingerprintRecord &record(std::size_t i) const
-    {
-        return records.record(i);
-    }
+    /** Label of record @p i. */
+    const ChipLabel &label(std::size_t i) const;
 
-    /** The wrapped database (for the unindexed legacy APIs). */
-    const FingerprintDb &db() const { return records; }
+    /** Source count of record @p i. */
+    std::uint32_t sources(std::size_t i) const;
+
+    /** Record @p i as a dense Fingerprint, rebuilt from its sparse
+     *  positions (for callers that need the dense bits). */
+    Fingerprint fingerprint(std::size_t i) const;
 
     /** MinHash signature of record @p i. */
     const MinHashSignature &signature(std::size_t i) const;
@@ -98,9 +103,9 @@ class FingerprintStore : public CandidateEngine
     const LshIndex &index() const { return lsh; }
 
     /**
-     * Sparse position-arena mirror of the fingerprints, maintained
-     * alongside the dense records: the representation every query
-     * scans and the v3 writer persists.
+     * The fingerprints' sparse position arena: the store's only copy
+     * of them, the representation every query scans and the v3
+     * writer persists.
      */
     const SparseFingerprintArena &sparseFingerprints() const override
     {
@@ -123,12 +128,14 @@ class FingerprintStore : public CandidateEngine
 
     /**
      * Rebuild the index under new signature/banding parameters;
-     * signatures are recomputed (across the pool when one is set).
+     * signatures are recomputed from the arena (across the pool
+     * when one is set).
      */
     void reindex(const MinHashParams &new_params);
 
   private:
-    FingerprintDb records;
+    std::vector<ChipLabel> labels;
+    std::vector<std::uint32_t> sourceCounts;
     std::vector<MinHashSignature> signatures;
     SparseFingerprintArena sparse;
     LshIndex lsh;

@@ -464,6 +464,21 @@ Wal::replay(const std::string &path, FingerprintStore &store)
         return res;
     }
     const std::size_t skip = store.size() - stats.baseRecords;
+    // Every record spans the store's one width; a journal that
+    // breaks it would load and then panic the first query.
+    const std::uint64_t width =
+        !store.empty()    ? store.universeBits()
+        : pending.empty() ? 0
+                          : pending.front().universe;
+    for (std::size_t i = skip; i < pending.size(); ++i) {
+        if (pending[i].universe != width) {
+            res.error = "wal replay: entry " + std::to_string(i) +
+                        " is " + std::to_string(pending[i].universe) +
+                        " bits wide; the records are " +
+                        std::to_string(width) + " bits wide";
+            return res;
+        }
+    }
     for (std::size_t i = 0; i < pending.size(); ++i) {
         if (i < skip) {
             ++stats.skipped;

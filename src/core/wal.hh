@@ -141,7 +141,8 @@ class Wal
      * the snapshot this journal extends (store.size() >=
      * baseRecords; entries below that mark were already
      * compacted and are skipped). Torn tails are discarded;
-     * corruption fails the load.
+     * corruption, and an entry whose universe width differs from
+     * the store's, fail the load before any entry is applied.
      */
     static LoadResult<WalReplayStats> replay(const std::string &path,
                                              FingerprintStore &store);

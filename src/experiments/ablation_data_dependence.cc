@@ -5,6 +5,7 @@
 #include "core/characterize.hh"
 #include "core/error_string.hh"
 #include "core/identify.hh"
+#include "core/store.hh"
 #include "platform/platform.hh"
 #include "util/ascii_chart.hh"
 #include "util/stats.hh"
@@ -20,7 +21,7 @@ runDataDependence(const DataDependenceParams &prm)
 
     // Worst-case characterization, as the supply-chain attacker
     // would perform it.
-    FingerprintDb db;
+    FingerprintStore store;
     const BitVec worst = platform.chip(0).worstCasePattern();
     for (unsigned c = 0; c < prm.numChips; ++c) {
         TestHarness h = platform.harness(c);
@@ -32,7 +33,7 @@ runDataDependence(const DataDependenceParams &prm)
             spec.trialKey = ++trial;
             outs.push_back(h.runWorstCaseTrial(spec).approx);
         }
-        db.add("chip-" + std::to_string(c),
+        store.add("chip-" + std::to_string(c),
                characterize(outs, worst));
     }
 
@@ -59,7 +60,7 @@ runDataDependence(const DataDependenceParams &prm)
                 maskableCells(data, prm.chipConfig);
 
             for (unsigned f = 0; f < prm.numChips; ++f) {
-                const BitVec &fp = db.record(f).fingerprint.bits();
+                const BitVec fp = store.fingerprint(f).bits();
                 const double plain = modifiedJaccard(es, fp);
                 const double masked = modifiedJaccard(es, fp & mask);
                 if (f == c) {
@@ -71,11 +72,10 @@ runDataDependence(const DataDependenceParams &prm)
             }
 
             const IdentifyResult r = identifyWithData(
-                approx, data, prm.chipConfig, db);
+                approx, data, prm.chipConfig, store.sparseFingerprints());
             ++total;
             correct += r.match &&
-                db.record(*r.match).label ==
-                    "chip-" + std::to_string(c);
+                store.label(*r.match) == "chip-" + std::to_string(c);
         }
         row.plainWithin = plain_within.mean();
         row.maskedWithin = masked_within.mean();

@@ -109,7 +109,7 @@ buildQueries(const FingerprintStore &store, std::size_t count,
             continue;
         }
         const std::size_t rec = rng.nextBelow(store.size());
-        BitVec es = store.record(rec).fingerprint.bits();
+        BitVec es = store.fingerprint(rec).bits();
         for (std::size_t i = 0; i < noiseBits; ++i)
             es.set(rng.nextBelow(universeBits));
         queries.push_back(std::move(es));
@@ -133,9 +133,9 @@ directVerdicts(const FingerprintStore &store,
         v.matched = r.match.has_value();
         v.distance = r.bestDistance;
         if (r.match)
-            v.label = store.record(*r.match).label;
+            v.label = store.label(*r.match);
         if (r.nearest)
-            v.nearestLabel = store.record(*r.nearest).label;
+            v.nearestLabel = store.label(*r.nearest);
         verdicts.push_back(std::move(v));
     }
     return verdicts;

@@ -33,12 +33,18 @@ SparseBitset::fromBitVec(const BitVec &bv)
 }
 
 BitVec
+toBitVec(const SparseView &view)
+{
+    BitVec out(static_cast<std::size_t>(view.universe));
+    for (std::size_t i = 0; i < view.count; ++i)
+        out.set(view.positions[i]);
+    return out;
+}
+
+BitVec
 SparseBitset::toBitVec() const
 {
-    BitVec out(universeBits);
-    for (auto p : pos)
-        out.set(p);
-    return out;
+    return pcause::toBitVec(SparseView{pos.data(), pos.size(), universeBits});
 }
 
 bool

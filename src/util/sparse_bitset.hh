@@ -39,6 +39,9 @@ struct SparseView
     std::uint64_t universe = 0;
 };
 
+/** Dense bit vector of @p view's universe with its positions set. */
+BitVec toBitVec(const SparseView &view);
+
 /** Sorted, deduplicated set of bit positions within a fixed universe. */
 class SparseBitset
 {

@@ -41,7 +41,7 @@ genProbe(Ctx &ctx, const FingerprintStore &store, std::size_t nbits)
     if (ctx.boolean(0.5, "matching_probe")) {
         const std::size_t target =
             ctx.below(store.size(), "target");
-        const BitVec &fp = store.record(target).fingerprint.bits();
+        const BitVec fp = store.fingerprint(target).bits();
         return pcheck::genNoisyObservation(
             ctx, fp, 0.93,
             std::max<std::size_t>(1, fp.popcount() / 4));
@@ -88,7 +88,7 @@ PCHECK_PROPERTY(PropServe, ServedVerdictEqualsDirectQuery,
         PCHECK(sameBits(served->distance, want.bestDistance));
         if (want.match)
             PCHECK_EQ(served->label,
-                      direct.record(*want.match).label);
+                      direct.label(*want.match));
     }
 })
 

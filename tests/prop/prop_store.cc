@@ -41,11 +41,9 @@ genIndexParams(Ctx &ctx)
 FingerprintStore
 genStore(Ctx &ctx, std::size_t records, std::size_t nbits)
 {
-    FingerprintStore store(genIndexParams(ctx));
-    const FingerprintDb db = pcheck::genDb(ctx, nbits, records);
-    for (std::size_t i = 0; i < db.size(); ++i)
-        store.add(db.record(i).label, db.record(i).fingerprint);
-    return store;
+    const MinHashParams mh = genIndexParams(ctx);
+    return FingerprintStore::fromDb(pcheck::genDb(ctx, nbits, records),
+                                    mh);
 }
 
 BitVec
@@ -54,7 +52,7 @@ genProbe(Ctx &ctx, const FingerprintStore &store, std::size_t nbits)
     if (ctx.boolean(0.5, "matching_probe")) {
         const std::size_t target =
             ctx.below(store.size(), "target");
-        const BitVec &fp = store.record(target).fingerprint.bits();
+        const BitVec fp = store.fingerprint(target).bits();
         return pcheck::genNoisyObservation(
             ctx, fp, 0.93,
             std::max<std::size_t>(1, fp.popcount() / 4));
@@ -133,7 +131,11 @@ PCHECK_PROPERTY(PropStore, EveryMetricAgreesWithDenseOracle,
     static ThreadPool pool(4);
     const std::size_t records = ctx.sizeRange(1, 12, "records");
     const std::size_t nbits = 64 * records;
-    FingerprintStore store = genStore(ctx, records, nbits);
+    // The dense oracle database is generated alongside the store,
+    // never rebuilt from the store's own arena.
+    const MinHashParams mh = genIndexParams(ctx);
+    const FingerprintDb db = pcheck::genDb(ctx, nbits, records);
+    FingerprintStore store = FingerprintStore::fromDb(db, mh);
     store.setThreadPool(&pool);
     const std::size_t queries = ctx.sizeRange(1, 6, "queries");
     std::vector<BitVec> probes;
@@ -160,7 +162,7 @@ PCHECK_PROPERTY(PropStore, EveryMetricAgreesWithDenseOracle,
     const std::vector<IdentifyResult> batch = store.queryBatch(probes, p);
     for (std::size_t q = 0; q < queries; ++q) {
         const IdentifyResult want =
-            identifyErrorString(probes[q], store.db(), p);
+            identifyErrorString(probes[q], db, p);
         for (const IdentifyResult &got :
              {store.query(probes[q], p), store.queryLinear(probes[q], p),
               batch[q], mapped->query(probes[q], p)}) {

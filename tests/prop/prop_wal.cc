@@ -108,10 +108,10 @@ expectStoreMatchesDb(const FingerprintStore &store,
 {
     PCHECK_EQ(store.size(), count);
     for (std::size_t i = 0; i < count; ++i) {
-        PCHECK_EQ(store.record(i).label, db.record(i).label);
-        PCHECK(store.record(i).fingerprint.bits() ==
+        PCHECK_EQ(store.label(i), db.record(i).label);
+        PCHECK(store.fingerprint(i).bits() ==
                db.record(i).fingerprint.bits());
-        PCHECK_EQ(store.record(i).fingerprint.sources(),
+        PCHECK_EQ(store.sources(i),
                   db.record(i).fingerprint.sources());
     }
 }

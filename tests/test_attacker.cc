@@ -23,7 +23,7 @@ TEST(SupplyChainAttacker, InterceptsAndAttributes)
         TestHarness h = platform.harness(c);
         attacker.interceptChip(h, "victim-" + std::to_string(c));
     }
-    EXPECT_EQ(attacker.database().size(), 3u);
+    EXPECT_EQ(attacker.store().size(), 3u);
 
     // A public output from chip 1 deanonymizes its machine.
     TestHarness h = platform.harness(1);

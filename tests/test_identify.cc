@@ -11,6 +11,7 @@
 #include "core/characterize.hh"
 #include "core/error_string.hh"
 #include "core/identify.hh"
+#include "core/store.hh"
 #include "platform/platform.hh"
 #include "testing/scan_only_engine.hh"
 #include "util/rng.hh"
@@ -148,13 +149,13 @@ TEST(IdentifyWithData, UninformativeDataCannotMatch)
                 default_data.set(row * cfg.rowBits() + i);
         }
     }
-    FingerprintDb db;
+    FingerprintStore store;
     BitVec fp(cfg.totalBits());
     fp.set(1);
     fp.set(2);
-    db.add("chip", Fingerprint(fp));
+    store.add("chip", Fingerprint(fp));
     const IdentifyResult r = identifyWithData(
-        default_data, default_data, cfg, db);
+        default_data, default_data, cfg, store.sparseFingerprints());
     EXPECT_FALSE(r.match.has_value());
 }
 
@@ -173,7 +174,7 @@ TEST(IdentifyWithData, MasksFingerprintToChargedCells)
     const BitVec approx = h.runTrial(zeros, spec).approx;
 
     // Worst-case fingerprints for both chips.
-    FingerprintDb db;
+    FingerprintStore store;
     for (unsigned c = 0; c < 2; ++c) {
         TestHarness hc = platform.harness(c);
         const BitVec exact = hc.chip().worstCasePattern();
@@ -184,14 +185,14 @@ TEST(IdentifyWithData, MasksFingerprintToChargedCells)
             s.trialKey = 10 + 3 * c + k;
             outs.push_back(hc.runWorstCaseTrial(s).approx);
         }
-        db.add("chip-" + std::to_string(c),
-               characterize(outs, exact));
+        store.add("chip-" + std::to_string(c),
+                  characterize(outs, exact));
     }
 
     const IdentifyResult r =
-        identifyWithData(approx, zeros, cfg, db);
+        identifyWithData(approx, zeros, cfg, store.sparseFingerprints());
     ASSERT_TRUE(r.match.has_value());
-    EXPECT_EQ(db.record(*r.match).label, "chip-0");
+    EXPECT_EQ(store.label(*r.match), "chip-0");
 }
 
 TEST(CalibrateThreshold, SitsBetweenClasses)

@@ -98,9 +98,8 @@ TEST(MappedStore, ServesRecordsInPlace)
     EXPECT_EQ(mapped->indexParams(), store.indexParams());
 
     for (std::size_t i = 0; i < store.size(); ++i) {
-        EXPECT_EQ(mapped->label(i), store.record(i).label);
-        EXPECT_EQ(mapped->sources(i),
-                  store.record(i).fingerprint.sources());
+        EXPECT_EQ(mapped->label(i), store.label(i));
+        EXPECT_EQ(mapped->sources(i), store.sources(i));
         EXPECT_EQ(mapped->signature(i), store.signature(i));
 
         const SparseView mv = mapped->view(i);
@@ -123,7 +122,7 @@ TEST(MappedStore, VerdictsMatchInMemoryStore)
     Rng rng(7);
     for (std::size_t i = 0; i < store.size(); i += 7) {
         const BitVec es = noisyObservation(
-            store.record(i).fingerprint.bits(), rng);
+            store.fingerprint(i).bits(), rng);
         const IdentifyResult want = store.query(es);
         const IdentifyResult got = mapped->query(es);
         ASSERT_EQ(got.match.has_value(), want.match.has_value());
@@ -141,7 +140,7 @@ TEST(MappedStore, VerdictsMatchInMemoryStore)
     // queryLinear agrees too (and reports database-size counters).
     AttackStats stats;
     const BitVec es0 =
-        noisyObservation(store.record(0).fingerprint.bits(), rng);
+        noisyObservation(store.fingerprint(0).bits(), rng);
     const IdentifyResult lin = mapped->queryLinear(es0, {}, &stats);
     ASSERT_TRUE(lin.match.has_value());
     EXPECT_EQ(*lin.match, *store.queryLinear(es0).match);
@@ -160,7 +159,7 @@ TEST(MappedStore, CandidatesMatchInMemoryIndex)
     Rng rng(11);
     for (std::size_t i = 0; i < store.size(); i += 5) {
         const BitVec es = noisyObservation(
-            store.record(i).fingerprint.bits(), rng);
+            store.fingerprint(i).bits(), rng);
         const MinHashSketch sketch =
             minhashSketch(es, store.indexParams());
         EXPECT_EQ(mapped->candidates(sketch),
@@ -250,13 +249,22 @@ TEST(MappedStore, CorruptHeadersAreRejected)
 
 TEST(MappedStore, V2FilesAreRejectedWithAClearError)
 {
-    FingerprintDb db;
-    BitVec v(256);
-    v.set(3);
-    db.add("chip", Fingerprint(v));
+    // A v2 header (magic, version 2, minhash k/bands/seed) with no
+    // records: a valid stream the loader reads, not a v3 mapping.
+    std::stringstream v2;
+    const auto put = [&v2](auto v) {
+        v2.write(reinterpret_cast<const char *>(&v), sizeof v);
+    };
+    v2.write("PCDB", 4);
+    put(std::uint32_t{2});
+    put(MinHashParams{}.numHashes);
+    put(MinHashParams{}.bands);
+    put(MinHashParams{}.seed);
+    put(std::uint64_t{0});
     const std::string path =
         ::testing::TempDir() + "pc_mapped_v2.pcdb";
-    ASSERT_TRUE(saveDatabase(db, path));
+    spit(path, v2.str());
+    ASSERT_TRUE(loadStore(path));
     const LoadResult<MappedStore> r = MappedStore::open(path);
     EXPECT_FALSE(r);
     EXPECT_NE(r.error.find("v3"), std::string::npos) << r.error;

@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for core/serialize — attacker database persistence:
- * the v2 format (with MinHash signatures), transparent v1 loading,
- * and the recoverable LoadResult error reporting.
+ * the v3 format written by saveStore, transparent loading of
+ * hand-crafted v1 and v2 streams, and the recoverable LoadResult
+ * error reporting.
  */
 
 #include <gtest/gtest.h>
@@ -11,9 +12,12 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/pcdb_format.hh"
 #include "core/serialize.hh"
 #include "core/store.hh"
+#include "core/wal.hh"
 #include "util/failpoint.hh"
+#include "util/thread_pool.hh"
 
 namespace pcause
 {
@@ -56,81 +60,148 @@ putV1Record(std::ostream &out, const std::string &label,
         put<std::uint32_t>(out, p);
 }
 
+/** Hand-craft a version-2 record: the v1 record plus its MinHash
+ *  signature under default parameters. */
+void
+putV2Record(std::ostream &out, const std::string &label,
+            std::uint32_t sources, std::uint64_t universe,
+            std::initializer_list<std::uint32_t> positions)
+{
+    putV1Record(out, label, sources, universe, positions);
+    BitVec bits(universe);
+    for (auto p : positions)
+        bits.set(p);
+    for (auto h : minhashSignature(bits, MinHashParams{}))
+        put<std::uint32_t>(out, h);
+}
+
+/** Hand-craft a stream header: magic, @p version, the minhash
+ *  header under default parameters (v2 only), @p count. */
+void
+putHeader(std::ostream &out, std::uint32_t version, std::uint64_t count)
+{
+    out.write("PCDB", 4);
+    put<std::uint32_t>(out, version);
+    if (version == 2) {
+        const MinHashParams prm;
+        put<std::uint32_t>(out, prm.numHashes);
+        put<std::uint32_t>(out, prm.bands);
+        put<std::uint64_t>(out, prm.seed);
+    }
+    put<std::uint64_t>(out, count);
+}
+
 /** Hand-craft a complete version-1 stream (pre-index format). */
 std::string
 v1Stream()
 {
     std::stringstream buf;
-    buf.write("PCDB", 4);
-    put<std::uint32_t>(buf, 1); // version 1: no minhash header
-    put<std::uint64_t>(buf, 2); // record count
+    putHeader(buf, 1, 2); // version 1: no minhash header
     putV1Record(buf, "legacy-a", 3, 32768, {1, 100, 32767});
-    putV1Record(buf, "legacy-b", 1, 1024, {5});
+    putV1Record(buf, "legacy-b", 1, 32768, {5});
     return buf.str();
 }
 
-TEST(Serialize, EmptyDatabaseRoundTrips)
+/** Hand-craft a complete version-2 stream (signatures, no LSH). */
+std::string
+v2Stream()
 {
-    FingerprintDb db;
     std::stringstream buf;
-    ASSERT_TRUE(saveDatabase(db, buf));
-    const DbLoadResult loaded = loadDatabase(buf);
-    ASSERT_TRUE(loaded);
-    EXPECT_TRUE(loaded.error.empty());
-    EXPECT_EQ(loaded->size(), 0u);
+    putHeader(buf, 2, 2);
+    putV2Record(buf, "chip-alpha", 3, 32768, {1, 100, 32767});
+    putV2Record(buf, "chip-beta", 1, 32768, {5});
+    return buf.str();
+}
+
+/** @p store's records match @p fps / @p labels through every
+ *  accessor. */
+void
+expectRecords(const FingerprintStore &store,
+              const std::vector<std::string> &labels,
+              const std::vector<Fingerprint> &fps, const char *when)
+{
+    ASSERT_EQ(store.size(), fps.size()) << when;
+    for (std::size_t i = 0; i < fps.size(); ++i) {
+        EXPECT_EQ(store.label(i), labels[i]) << when << " record " << i;
+        EXPECT_EQ(store.sources(i), fps[i].sources()) << when;
+        const Fingerprint back = store.fingerprint(i);
+        EXPECT_EQ(back.bits(), fps[i].bits()) << when << " record " << i;
+        EXPECT_EQ(back.sources(), fps[i].sources()) << when;
+    }
 }
 
 TEST(Serialize, RecordsRoundTripExactly)
 {
-    FingerprintDb db;
-    db.add("chip-alpha", makeFingerprint({1, 100, 32767}, 3));
-    db.add("chip-beta", makeFingerprint({5}, 1, 1024));
+    // label(i), sources(i) and fingerprint(i) read back what went in
+    // after add, addBatch, saveStore -> loadStore and WAL replay.
+    const std::vector<std::string> labels = {"chip-alpha", "chip-beta",
+                                             "chip-gamma"};
+    const std::vector<Fingerprint> fps = {
+        makeFingerprint({1, 100, 32767}, 3), makeFingerprint({5}, 1),
+        makeFingerprint({7, 8, 9, 4096}, 2)};
+
+    // A local pool: the global one would outlive the test and break
+    // the fork-based death tests below.
+    ThreadPool pool(2);
+    FingerprintStore store;
+    store.setThreadPool(&pool);
+    store.add(labels[0], fps[0]);
+    store.addBatch({labels[1], labels[2]}, {fps[1], fps[2]});
+    expectRecords(store, labels, fps, "add + addBatch");
 
     std::stringstream buf;
-    ASSERT_TRUE(saveDatabase(db, buf));
-    const DbLoadResult loaded = loadDatabase(buf);
+    ASSERT_TRUE(saveStore(store, buf));
+    const StoreLoadResult loaded = loadStore(buf);
+    ASSERT_TRUE(loaded) << loaded.error;
+    expectRecords(*loaded, labels, fps, "saveStore -> loadStore");
 
-    ASSERT_TRUE(loaded);
-    ASSERT_EQ(loaded->size(), 2u);
-    EXPECT_EQ(loaded->record(0).label, "chip-alpha");
-    EXPECT_EQ(loaded->record(0).fingerprint.bits(),
-              db.record(0).fingerprint.bits());
-    EXPECT_EQ(loaded->record(0).fingerprint.sources(), 3u);
-    EXPECT_EQ(loaded->record(1).label, "chip-beta");
-    EXPECT_EQ(loaded->record(1).fingerprint.bits().size(), 1024u);
+    const std::string wal_path =
+        ::testing::TempDir() + "pcause_roundtrip_test.wal";
+    {
+        LoadResult<Wal> wal = Wal::create(wal_path, 0);
+        ASSERT_TRUE(wal) << wal.error;
+        for (std::size_t i = 0; i < fps.size(); ++i)
+            ASSERT_TRUE(wal->append(labels[i], fps[i]));
+    }
+    FingerprintStore replayed;
+    const LoadResult<WalReplayStats> r = Wal::replay(wal_path, replayed);
+    ASSERT_TRUE(r) << r.error;
+    EXPECT_EQ(r->applied, fps.size());
+    expectRecords(replayed, labels, fps, "WAL replay");
+    std::remove(wal_path.c_str());
 }
 
 TEST(Serialize, FileRoundTrip)
 {
     const std::string path =
         ::testing::TempDir() + "pcause_db_test.pcdb";
-    FingerprintDb db;
-    db.add("disk-chip", makeFingerprint({7, 8, 9}));
-    ASSERT_TRUE(saveDatabase(db, path));
-    const DbLoadResult loaded = loadDatabase(path);
-    ASSERT_TRUE(loaded);
+    FingerprintStore store;
+    store.add("disk-chip", makeFingerprint({7, 8, 9}));
+    ASSERT_TRUE(saveStore(store, path));
+    const StoreLoadResult loaded = loadStore(path);
+    ASSERT_TRUE(loaded) << loaded.error;
     ASSERT_EQ(loaded->size(), 1u);
-    EXPECT_EQ(loaded->record(0).label, "disk-chip");
+    EXPECT_EQ(loaded->label(0), "disk-chip");
     std::remove(path.c_str());
 }
 
 TEST(Serialize, LoadedDatabaseIdentifies)
 {
-    FingerprintDb db;
-    db.add("a", makeFingerprint({10, 20, 30}));
-    db.add("b", makeFingerprint({100, 200, 300}));
+    FingerprintStore store;
+    store.add("a", makeFingerprint({10, 20, 30}));
+    store.add("b", makeFingerprint({100, 200, 300}));
     std::stringstream buf;
-    saveDatabase(db, buf);
-    const DbLoadResult loaded = loadDatabase(buf);
-    ASSERT_TRUE(loaded);
+    ASSERT_TRUE(saveStore(store, buf));
+    const StoreLoadResult loaded = loadStore(buf);
+    ASSERT_TRUE(loaded) << loaded.error;
 
     BitVec es(32768);
     es.set(100);
     es.set(200);
     es.set(300);
-    const IdentifyResult r = identifyErrorString(es, *loaded);
+    const IdentifyResult r = loaded->query(es);
     ASSERT_TRUE(r.match.has_value());
-    EXPECT_EQ(loaded->record(*r.match).label, "b");
+    EXPECT_EQ(loaded->label(*r.match), "b");
 }
 
 TEST(Serialize, StoreRoundTripKeepsSignaturesAndParams)
@@ -142,7 +213,7 @@ TEST(Serialize, StoreRoundTripKeepsSignaturesAndParams)
 
     FingerprintStore store(custom);
     store.add("alpha", makeFingerprint({1, 100, 32767}, 3));
-    store.add("beta", makeFingerprint({5, 6}, 2, 1024));
+    store.add("beta", makeFingerprint({5, 6}, 2));
 
     std::stringstream buf;
     ASSERT_TRUE(saveStore(store, buf));
@@ -151,7 +222,7 @@ TEST(Serialize, StoreRoundTripKeepsSignaturesAndParams)
     ASSERT_EQ(loaded->size(), 2u);
     EXPECT_EQ(loaded->indexParams(), custom);
     for (std::size_t i = 0; i < store.size(); ++i) {
-        EXPECT_EQ(loaded->record(i).label, store.record(i).label);
+        EXPECT_EQ(loaded->label(i), store.label(i));
         EXPECT_EQ(loaded->signature(i), store.signature(i));
     }
 }
@@ -164,13 +235,14 @@ TEST(Serialize, V1LoadsWithRecomputedSignatures)
     const StoreLoadResult loaded = loadStore(buf);
     ASSERT_TRUE(loaded);
     ASSERT_EQ(loaded->size(), 2u);
-    EXPECT_EQ(loaded->record(0).label, "legacy-a");
-    EXPECT_EQ(loaded->record(0).fingerprint.sources(), 3u);
-    EXPECT_TRUE(loaded->record(0).fingerprint.bits().get(32767));
-    EXPECT_EQ(loaded->record(1).label, "legacy-b");
+    EXPECT_EQ(loaded->label(0), "legacy-a");
+    EXPECT_EQ(loaded->sources(0), 3u);
+    EXPECT_TRUE(loaded->fingerprint(0).bits().get(32767));
+    EXPECT_EQ(loaded->label(1), "legacy-b");
+    EXPECT_EQ(loaded->fingerprint(1).bits().size(), 32768u);
 
     EXPECT_EQ(loaded->signature(0),
-              minhashSignature(loaded->record(0).fingerprint.bits(),
+              minhashSignature(makeFingerprint({1, 100, 32767}).bits(),
                                loaded->indexParams()));
 }
 
@@ -189,26 +261,29 @@ TEST(Serialize, V1ThenV3RoundTrip)
     ASSERT_TRUE(second) << second.error;
     ASSERT_EQ(second->size(), first->size());
     for (std::size_t i = 0; i < first->size(); ++i) {
-        EXPECT_EQ(second->record(i).label, first->record(i).label);
-        EXPECT_EQ(second->record(i).fingerprint.bits(),
-                  first->record(i).fingerprint.bits());
+        EXPECT_EQ(second->label(i), first->label(i));
+        EXPECT_EQ(second->fingerprint(i).bits(),
+                  first->fingerprint(i).bits());
         EXPECT_EQ(second->signature(i), first->signature(i));
     }
 }
 
 TEST(Serialize, V2ThenV3RoundTrip)
 {
-    // saveDatabase still writes the v2 stream format; loading it as
-    // a store and re-saving upgrades to v3 with identical records
-    // and signatures.
-    FingerprintDb db;
-    db.add("chip-alpha", makeFingerprint({1, 100, 32767}, 3));
-    db.add("chip-beta", makeFingerprint({5}, 1, 1024));
-    std::stringstream v2;
-    ASSERT_TRUE(saveDatabase(db, v2));
-
+    // A hand-crafted v2 stream loads with its signatures adopted
+    // verbatim; re-saving upgrades to v3 with identical records and
+    // signatures.
+    std::stringstream v2(v2Stream());
     const StoreLoadResult first = loadStore(v2);
     ASSERT_TRUE(first) << first.error;
+    ASSERT_EQ(first->size(), 2u);
+    EXPECT_EQ(first->label(0), "chip-alpha");
+    EXPECT_EQ(first->sources(0), 3u);
+    EXPECT_EQ(first->fingerprint(0).bits(),
+              makeFingerprint({1, 100, 32767}).bits());
+    EXPECT_EQ(first->signature(1),
+              minhashSignature(makeFingerprint({5}).bits(),
+                               MinHashParams{}));
 
     std::stringstream v3;
     ASSERT_TRUE(saveStore(*first, v3));
@@ -217,28 +292,53 @@ TEST(Serialize, V2ThenV3RoundTrip)
     ASSERT_EQ(second->size(), first->size());
     EXPECT_EQ(second->indexParams(), first->indexParams());
     for (std::size_t i = 0; i < first->size(); ++i) {
-        EXPECT_EQ(second->record(i).label, first->record(i).label);
-        EXPECT_EQ(second->record(i).fingerprint.bits(),
-                  first->record(i).fingerprint.bits());
-        EXPECT_EQ(second->record(i).fingerprint.sources(),
-                  first->record(i).fingerprint.sources());
+        EXPECT_EQ(second->label(i), first->label(i));
+        EXPECT_EQ(second->fingerprint(i).bits(),
+                  first->fingerprint(i).bits());
+        EXPECT_EQ(second->sources(i), first->sources(i));
         EXPECT_EQ(second->signature(i), first->signature(i));
     }
 }
 
-TEST(Serialize, V1DatabaseLoadsViaLoadDatabase)
+TEST(Serialize, MixedWidthStreamsAreRefused)
 {
-    std::stringstream buf(v1Stream());
-    const DbLoadResult loaded = loadDatabase(buf);
-    ASSERT_TRUE(loaded);
-    ASSERT_EQ(loaded->size(), 2u);
-    EXPECT_EQ(loaded->record(1).fingerprint.bits().size(), 1024u);
+    // Every record must span one universe: a 4096-bit identify
+    // against a loaded 16-bit record would abort in the distance
+    // kernel. Each stream version is refused with a clean error.
+    std::stringstream v1;
+    putHeader(v1, 1, 2);
+    putV1Record(v1, "wide", 1, 4096, {1, 2, 3});
+    putV1Record(v1, "narrow", 1, 16, {1});
+
+    std::stringstream v2;
+    putHeader(v2, 2, 2);
+    putV2Record(v2, "wide", 1, 4096, {1, 2, 3});
+    putV2Record(v2, "narrow", 1, 16, {1});
+
+    // v3: the record-table mutation MappedStore refuses at open —
+    // record 2's universe, 4096 -> 8192 (byte 1 of its u64 field).
+    FingerprintStore store;
+    for (std::size_t i = 0; i < 3; ++i)
+        store.add("chip", makeFingerprint({i, 100 + i}, 1, 4096));
+    std::stringstream good;
+    ASSERT_TRUE(saveStore(store, good));
+    std::string bytes = good.str();
+    bytes[pcdb::v3HeaderBytes + 2 * pcdb::v3RecordEntryBytes + 17] = 0x20;
+    std::stringstream v3(bytes);
+
+    for (std::stringstream *in : {&v1, &v2, &v3}) {
+        const StoreLoadResult r = loadStore(*in);
+        EXPECT_FALSE(r);
+        EXPECT_NE(r.error.find("differing universe widths"),
+                  std::string::npos)
+            << r.error;
+    }
 }
 
 TEST(Serialize, BadMagicIsRecoverable)
 {
     std::stringstream buf("XXXX garbage");
-    const DbLoadResult r = loadDatabase(buf);
+    const StoreLoadResult r = loadStore(buf);
     EXPECT_FALSE(r);
     EXPECT_NE(r.error.find("not a Probable Cause database"),
               std::string::npos);
@@ -246,16 +346,12 @@ TEST(Serialize, BadMagicIsRecoverable)
 
 TEST(Serialize, TruncationIsRecoverable)
 {
-    FingerprintDb db;
-    db.add("chip", makeFingerprint({1, 2, 3}));
-    std::stringstream buf;
-    saveDatabase(db, buf);
-    const std::string bytes = buf.str();
+    const std::string bytes = v2Stream();
     // Every prefix must fail cleanly, never crash or loop.
     for (std::size_t cut : {std::size_t(2), bytes.size() / 4,
                             bytes.size() / 2, bytes.size() - 1}) {
         std::stringstream partial(bytes.substr(0, cut));
-        const DbLoadResult r = loadDatabase(partial);
+        const StoreLoadResult r = loadStore(partial);
         EXPECT_FALSE(r) << "prefix of " << cut << " bytes";
         EXPECT_FALSE(r.error.empty());
     }
@@ -265,13 +361,8 @@ TEST(Serialize, TruncatedSignatureTrailerIsRecoverable)
 {
     // Cut a v2 stream inside the final record's signature trailer:
     // the reader must report the truncated signature, not return a
-    // store with a short or garbage signature. (saveDatabase is the
-    // v2 writer; saveStore now writes v3.)
-    FingerprintDb db;
-    db.add("chip", makeFingerprint({1, 2, 3}));
-    std::stringstream buf;
-    ASSERT_TRUE(saveDatabase(db, buf));
-    const std::string bytes = buf.str();
+    // store with a short or garbage signature.
+    const std::string bytes = v2Stream();
     const std::size_t sig_bytes =
         MinHashParams{}.numHashes * sizeof(std::uint32_t);
     ASSERT_GT(bytes.size(), sig_bytes);
@@ -316,10 +407,8 @@ TEST(Serialize, RecordCountOverflowIsRecoverable)
     // A hostile header claiming 2^64-1 records must not blow up in
     // the pre-allocation: it fails on the first absent record.
     std::stringstream buf;
-    buf.write("PCDB", 4);
-    put<std::uint32_t>(buf, 1); // v1: simplest valid header
-    put<std::uint64_t>(buf, ~std::uint64_t{0});
-    const DbLoadResult r = loadDatabase(buf);
+    putHeader(buf, 1, ~std::uint64_t{0}); // v1: simplest valid header
+    const StoreLoadResult r = loadStore(buf);
     EXPECT_FALSE(r);
     EXPECT_NE(r.error.find("truncated"), std::string::npos)
         << r.error;
@@ -330,11 +419,9 @@ TEST(Serialize, ImplausibleLabelLengthIsRecoverable)
     // A multi-gigabyte label length must be rejected before the
     // parser tries to allocate it.
     std::stringstream buf;
-    buf.write("PCDB", 4);
-    put<std::uint32_t>(buf, 1);
-    put<std::uint64_t>(buf, 1); // one record
+    putHeader(buf, 1, 1); // one record
     put<std::uint32_t>(buf, ~std::uint32_t{0}); // label length
-    const DbLoadResult r = loadDatabase(buf);
+    const StoreLoadResult r = loadStore(buf);
     EXPECT_FALSE(r);
     EXPECT_NE(r.error.find("label"), std::string::npos) << r.error;
 }
@@ -356,8 +443,8 @@ TEST(Serialize, EmptyStoreRoundTripsWithCustomParams)
 
 TEST(Serialize, MissingFileIsRecoverable)
 {
-    const DbLoadResult r =
-        loadDatabase(std::string("/no/such/file.pcdb"));
+    const StoreLoadResult r =
+        loadStore(std::string("/no/such/file.pcdb"));
     EXPECT_FALSE(r);
     EXPECT_NE(r.error.find("cannot open"), std::string::npos);
 }
@@ -367,7 +454,7 @@ TEST(Serialize, UnsupportedVersionIsRecoverable)
     std::stringstream buf;
     buf.write("PCDB", 4);
     put<std::uint32_t>(buf, 99);
-    const DbLoadResult r = loadDatabase(buf);
+    const StoreLoadResult r = loadStore(buf);
     EXPECT_FALSE(r);
     EXPECT_NE(r.error.find("unsupported version"), std::string::npos);
 }
@@ -376,11 +463,9 @@ TEST(Serialize, CorruptRecordIsRecoverable)
 {
     // Position beyond the declared universe must be rejected.
     std::stringstream buf;
-    buf.write("PCDB", 4);
-    put<std::uint32_t>(buf, 1);
-    put<std::uint64_t>(buf, 1);
+    putHeader(buf, 1, 1);
     putV1Record(buf, "evil", 1, 64, {100});
-    const DbLoadResult r = loadDatabase(buf);
+    const StoreLoadResult r = loadStore(buf);
     EXPECT_FALSE(r);
     EXPECT_NE(r.error.find("position beyond universe"),
               std::string::npos);
@@ -391,11 +476,9 @@ TEST(Serialize, ZeroSourceRecordIsRecoverable)
     // sources == 0 would trip Fingerprint's invariant; the parser
     // must catch it before construction.
     std::stringstream buf;
-    buf.write("PCDB", 4);
-    put<std::uint32_t>(buf, 1);
-    put<std::uint64_t>(buf, 1);
+    putHeader(buf, 1, 1);
     putV1Record(buf, "hollow", 0, 64, {1});
-    const DbLoadResult r = loadDatabase(buf);
+    const StoreLoadResult r = loadStore(buf);
     EXPECT_FALSE(r);
     EXPECT_NE(r.error.find("zero sources"), std::string::npos);
 }
@@ -481,7 +564,7 @@ TEST(Serialize, DurableSaveRoundTrips)
     StoreLoadResult back = loadStore(path);
     ASSERT_TRUE(back) << back.error;
     EXPECT_EQ(back->size(), 1u);
-    EXPECT_EQ(back->record(0).label, "only");
+    EXPECT_EQ(back->label(0), "only");
     std::remove(path.c_str());
 }
 
@@ -509,7 +592,7 @@ TEST(Serialize, FailedDurableSaveLeavesTheOldSnapshotIntact)
 
         StoreLoadResult kept = loadStore(path);
         ASSERT_TRUE(kept) << point << ": " << kept.error;
-        EXPECT_EQ(kept->record(0).label, "original") << point;
+        EXPECT_EQ(kept->label(0), "original") << point;
     }
     std::remove(path.c_str());
 }

@@ -197,7 +197,7 @@ TEST(Batcher, ServesAndCoalesces)
     Rng rng(0x31);
     std::vector<BitVec> queries;
     for (int i = 0; i < 24; ++i) {
-        BitVec es = svc.store()->record(i % 30).fingerprint.bits();
+        BitVec es = svc.store()->fingerprint(i % 30).bits();
         for (int b = 0; b < 8; ++b)
             es.set(rng.nextBelow(universe));
         queries.push_back(std::move(es));
@@ -266,7 +266,7 @@ TEST(Server, ServedVerdictsEqualDirectQueries)
     Rng rng(0x41);
     for (int i = 0; i < 30; ++i) {
         BitVec es =
-            fx.svc.store()->record(i % 40).fingerprint.bits();
+            fx.svc.store()->fingerprint(i % 40).bits();
         for (int b = 0; b < 8; ++b)
             es.set(rng.nextBelow(universe));
 
@@ -471,7 +471,7 @@ TEST(Server, MappedBackendServesJaccardLikeInMemory)
     for (int i = 0; i < 12; ++i) {
         IdentifyRequest req;
         req.errorString = i % 2 == 0
-                              ? owned.store()->record(i).fingerprint.bits()
+                              ? owned.store()->fingerprint(i).bits()
                               : randomPattern(rng, 64);
         for (int b = 0; b < 8; ++b)
             req.errorString.set(rng.nextBelow(universe));

@@ -57,7 +57,7 @@ makeQueries(const FingerprintStore &store, std::size_t extra_unknown,
     Rng rng(seed);
     std::vector<BitVec> queries;
     for (std::size_t i = 0; i < store.size(); ++i) {
-        BitVec es = store.record(i).fingerprint.bits();
+        BitVec es = store.fingerprint(i).bits();
         for (int b = 0; b < 16; ++b)
             es.set(rng.nextBelow(universe));
         queries.push_back(std::move(es));
@@ -97,7 +97,7 @@ TEST(AttackService, VerdictsMatchDirectStoreQueries)
             ASSERT_EQ(want.nearest, got.nearest);
             ASSERT_TRUE(sameBits(want.bestDistance, got.distance));
             if (want.match) {
-                ASSERT_EQ(direct.record(*want.match).label,
+                ASSERT_EQ(direct.label(*want.match),
                           got.label);
             }
         }
@@ -197,7 +197,7 @@ TEST(AttackService, MappedBackendMatchesOwned)
         ASSERT_EQ(want.match.has_value(), got.matched);
         ASSERT_TRUE(sameBits(want.bestDistance, got.distance));
         if (want.match) {
-            ASSERT_EQ(direct.record(*want.match).label, got.label);
+            ASSERT_EQ(direct.label(*want.match), got.label);
         }
     }
 
@@ -351,10 +351,10 @@ TEST(AttackService, DurableAddsSurviveReopenWithoutCheckpoint)
     ASSERT_TRUE(back) << back.error;
     ASSERT_EQ(back->size(), 2u);
     ASSERT_NE(back->store(), nullptr);
-    EXPECT_EQ(back->store()->record(0).label, "a");
-    EXPECT_EQ(back->store()->record(1).label, "b");
-    EXPECT_TRUE(back->store()->record(1).fingerprint.bits() == fp1);
-    EXPECT_EQ(back->store()->record(1).fingerprint.sources(), 5u);
+    EXPECT_EQ(back->store()->label(0), "a");
+    EXPECT_EQ(back->store()->label(1), "b");
+    EXPECT_TRUE(back->store()->fingerprint(1).bits() == fp1);
+    EXPECT_EQ(back->store()->sources(1), 5u);
     // Reopen compacted: snapshot holds everything, journal empty.
     EXPECT_EQ(back->walEntries(), 0u);
     EXPECT_EQ(Wal::verify(fx.walPath).baseRecords, 2u);
@@ -412,6 +412,39 @@ TEST(AttackService, WrongWidthAddIsRefusedAndNotJournaled)
     req.errorString = randomPattern(rng, 64);
     EXPECT_FALSE(svc->identify(req).matched);
     EXPECT_EQ(svc->snapshot().indexFallbacks, 1u);
+}
+
+TEST(AttackService, WrongWidthJournalEntryFailsTheOpen)
+{
+    // A journal entry of another width than the snapshot's records
+    // (or than the journal's first entry) must fail recovery, not
+    // yield a store whose next identify aborts in the kernel.
+    DurableFixture fx;
+    Rng rng(0xD4);
+    BitVec narrow(16);
+    narrow.set(3);
+    for (const bool snapshot : {true, false}) {
+        fx.cleanup();
+        FingerprintStore store;
+        if (snapshot) {
+            store.add("wide", Fingerprint(randomPattern(rng, 32)));
+            ASSERT_TRUE(saveStore(store, fx.dbPath));
+        }
+        {
+            LoadResult<Wal> wal = Wal::create(fx.walPath, store.size());
+            ASSERT_TRUE(wal) << wal.error;
+            if (!snapshot) {
+                ASSERT_TRUE(wal->append(
+                    "wide", Fingerprint(randomPattern(rng, 32))));
+            }
+            ASSERT_TRUE(wal->append("narrow", Fingerprint(narrow)));
+        }
+        const LoadResult<AttackService> svc =
+            AttackService::openDurable(fx.config());
+        EXPECT_FALSE(svc) << "snapshot " << snapshot;
+        EXPECT_NE(svc.error.find("bits wide"), std::string::npos)
+            << svc.error;
+    }
 }
 
 TEST(AttackService, WrongWidthQueryIsRefused)

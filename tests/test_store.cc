@@ -38,6 +38,7 @@ randomPattern(Rng &rng, std::size_t weight)
 struct TestPopulation
 {
     FingerprintStore store;
+    std::vector<BitVec> fingerprints; //!< each record's original bits
     std::vector<BitVec> queries;
     std::vector<std::optional<std::size_t>> truth;
 };
@@ -47,13 +48,14 @@ makePopulation(std::size_t n, std::uint64_t seed,
                const MinHashParams &params = {})
 {
     Rng rng(seed);
-    TestPopulation pop{FingerprintStore(params), {}, {}};
+    TestPopulation pop{FingerprintStore(params), {}, {}, {}};
     for (std::size_t i = 0; i < n; ++i) {
+        pop.fingerprints.push_back(randomPattern(rng, 64));
         pop.store.add("chip-" + std::to_string(i),
-                      Fingerprint(randomPattern(rng, 64), 3));
+                      Fingerprint(pop.fingerprints.back(), 3));
     }
     for (std::size_t i = 0; i < n; ++i) {
-        BitVec es = pop.store.record(i).fingerprint.bits();
+        BitVec es = pop.fingerprints[i];
         for (int b = 0; b < 16; ++b) // noisy superset, sim ~0.8
             es.set(rng.nextBelow(universe));
         pop.queries.push_back(std::move(es));
@@ -255,8 +257,7 @@ TEST(FingerprintStore, ReindexPreservesVerdicts)
     EXPECT_EQ(pop.store.indexParams(), coarse);
     for (std::size_t i = 0; i < pop.store.size(); ++i) {
         EXPECT_EQ(pop.store.signature(i),
-                  minhashSignature(
-                      pop.store.record(i).fingerprint.bits(), coarse));
+                  minhashSignature(pop.fingerprints[i], coarse));
     }
     for (std::size_t q = 0; q < pop.queries.size(); ++q)
         EXPECT_EQ(pop.store.query(pop.queries[q]).match, before[q]);
@@ -402,7 +403,7 @@ TEST(FingerprintStore, AddBatchEqualsSerialAdds)
 
     ASSERT_EQ(batch.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(batch.record(i).label, serial.record(i).label);
+        EXPECT_EQ(batch.label(i), serial.label(i));
         EXPECT_EQ(batch.signature(i), serial.signature(i));
         const SparseView bv = batch.sparseFingerprints().view(i);
         const SparseView sv = serial.sparseFingerprints().view(i);

@@ -347,12 +347,8 @@ cmdClusterCampaign(const Args &args)
 
     const std::string db_path = args.get("db", "");
     if (!db_path.empty()) {
-        const FingerprintDb db = clusterer.toDatabase();
-        FingerprintStore store;
-        for (std::size_t i = 0; i < db.size(); ++i) {
-            const auto &rec = db.record(i);
-            store.add(rec.label, rec.fingerprint);
-        }
+        const FingerprintStore store =
+            FingerprintStore::fromDb(clusterer.toDatabase());
         if (!saveStore(store, db_path))
             fatal("cluster: cannot write %s", db_path.c_str());
         std::printf("  wrote %zu discovered fingerprints to %s\n",
@@ -546,12 +542,11 @@ cmdDb(const Args &args)
 
     std::printf("%zu records\n", store.size());
     for (std::size_t i = 0; i < store.size(); ++i) {
-        const auto &rec = store.record(i);
+        const Fingerprint fp = store.fingerprint(i);
         std::printf("  %-24s %7zu cells  %u sources  (%zu bits of "
                     "memory)\n",
-                    rec.label.c_str(), rec.fingerprint.weight(),
-                    rec.fingerprint.sources(),
-                    rec.fingerprint.bits().size());
+                    store.label(i).c_str(), fp.weight(), fp.sources(),
+                    fp.bits().size());
     }
     return 0;
 }
