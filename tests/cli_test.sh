@@ -65,6 +65,24 @@ fi
 "$PCAUSE" identify --db db.pcdb --exact exact.pcbv \
     chip2_trial3.pcbv | grep -q "match: gamma"
 
+# Characterizing a chip of another width into the database must fail
+# with a message (exit 1, not an abort) and leave the file as it was.
+# Hand-written 16-bit dumps: "PCBV", version 1, 16 bits, 2 bytes.
+printf 'PCBV\001\000\000\000\020\000\000\000\000\000\000\000\000\000' \
+    > narrow_exact.pcbv
+printf 'PCBV\001\000\000\000\020\000\000\000\000\000\000\000\017\000' \
+    > narrow_out.pcbv
+cp db.pcdb db_before.pcdb
+rc=0
+"$PCAUSE" characterize --db db.pcdb --label narrow \
+    --exact narrow_exact.pcbv narrow_out.pcbv > narrow.out 2>&1 || rc=$?
+if [ "$rc" -ne 1 ] || ! grep -q "16 bits" narrow.out; then
+    echo "FAIL: mixed-width characterize exited $rc:" >&2
+    cat narrow.out >&2
+    exit 1
+fi
+cmp -s db.pcdb db_before.pcdb
+
 # A corrupt database must fail with a message, not crash.
 echo "garbage" > broken.pcdb
 if "$PCAUSE" db --db broken.pcdb > /dev/null 2>&1; then

@@ -14,6 +14,7 @@
 
 #include "core/serialize.hh"
 #include "core/store.hh"
+#include "tests/legacy_streams.hh"
 
 using namespace pcause;
 using pcheck::Ctx;
@@ -46,39 +47,6 @@ genStore(Ctx &ctx)
     return store;
 }
 
-/** @p db as a v2 stream (the read-only legacy format, see
- *  core/serialize.hh) signed under @p mh, written field by field. */
-std::string
-v2Stream(const FingerprintDb &db, const MinHashParams &mh)
-{
-    std::stringstream out;
-    const auto put = [&out](auto v) {
-        out.write(reinterpret_cast<const char *>(&v), sizeof v);
-    };
-    out.write("PCDB", 4);
-    put(std::uint32_t{2});
-    put(mh.numHashes);
-    put(mh.bands);
-    put(mh.seed);
-    put(std::uint64_t{db.size()});
-    for (std::size_t i = 0; i < db.size(); ++i) {
-        const FingerprintRecord &rec = db.record(i);
-        const BitVec &bits = rec.fingerprint.bits();
-        put(static_cast<std::uint32_t>(rec.label.size()));
-        out.write(rec.label.data(),
-                  static_cast<std::streamsize>(rec.label.size()));
-        put(std::uint32_t{rec.fingerprint.sources()});
-        put(std::uint64_t{bits.size()});
-        const auto positions = bits.setBits();
-        put(std::uint64_t{positions.size()});
-        for (const auto p : positions)
-            put(static_cast<std::uint32_t>(p));
-        for (const std::uint32_t h : minhashSignature(bits, mh))
-            put(h);
-    }
-    return out.str();
-}
-
 } // namespace
 
 PCHECK_PROPERTY(PropSerialize, StoreRoundTripIdentity, [](Ctx &ctx) {
@@ -107,7 +75,7 @@ PCHECK_PROPERTY(PropSerialize, V2StreamLoadsTheDatabase,
     const std::size_t records = ctx.sizeRange(1, 6, "records");
     const FingerprintDb db =
         pcheck::genDb(ctx, 64 * records, records);
-    std::stringstream ss(v2Stream(db, mh));
+    std::stringstream ss(legacy::v2Stream(db, mh));
 
     StoreLoadResult loaded = loadStore(ss);
     PCHECK_MSG(static_cast<bool>(loaded), loaded.error);

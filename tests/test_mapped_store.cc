@@ -16,6 +16,7 @@
 #include "core/mapped_store.hh"
 #include "core/serialize.hh"
 #include "core/store.hh"
+#include "tests/legacy_streams.hh"
 #include "util/rng.hh"
 
 namespace pcause
@@ -249,25 +250,24 @@ TEST(MappedStore, CorruptHeadersAreRejected)
 
 TEST(MappedStore, V2FilesAreRejectedWithAClearError)
 {
-    // A v2 header (magic, version 2, minhash k/bands/seed) with no
-    // records: a valid stream the loader reads, not a v3 mapping.
-    std::stringstream v2;
-    const auto put = [&v2](auto v) {
-        v2.write(reinterpret_cast<const char *>(&v), sizeof v);
-    };
-    v2.write("PCDB", 4);
-    put(std::uint32_t{2});
-    put(MinHashParams{}.numHashes);
-    put(MinHashParams{}.bands);
-    put(MinHashParams{}.seed);
-    put(std::uint64_t{0});
+    // A one-record v2 stream: long enough to pass the v3 header
+    // length check, so open() must refuse it for its version and
+    // point at the stream loader, which still reads it.
+    FingerprintDb db;
+    BitVec v(256);
+    v.set(3);
+    db.add("chip", Fingerprint(v));
+    const std::string bytes = legacy::v2Stream(db);
+    ASSERT_GE(bytes.size(), pcdb::v3HeaderBytes);
     const std::string path =
         ::testing::TempDir() + "pc_mapped_v2.pcdb";
-    spit(path, v2.str());
+    spit(path, bytes);
     ASSERT_TRUE(loadStore(path));
     const LoadResult<MappedStore> r = MappedStore::open(path);
     EXPECT_FALSE(r);
-    EXPECT_NE(r.error.find("v3"), std::string::npos) << r.error;
+    EXPECT_NE(r.error.find("not a v3 database (use loadStore"),
+              std::string::npos)
+        << r.error;
     std::remove(path.c_str());
 }
 

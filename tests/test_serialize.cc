@@ -16,6 +16,7 @@
 #include "core/serialize.hh"
 #include "core/store.hh"
 #include "core/wal.hh"
+#include "tests/legacy_streams.hh"
 #include "util/failpoint.hh"
 #include "util/thread_pool.hh"
 
@@ -23,6 +24,11 @@ namespace pcause
 {
 namespace
 {
+
+using legacy::put;
+using legacy::putHeader;
+using legacy::putV1Record;
+using legacy::putV2Record;
 
 Fingerprint
 makeFingerprint(std::initializer_list<std::size_t> bits,
@@ -35,60 +41,6 @@ makeFingerprint(std::initializer_list<std::size_t> bits,
     for (unsigned s = 1; s < sources; ++s)
         fp.augment(v);
     return fp;
-}
-
-template <typename T>
-void
-put(std::ostream &out, T value)
-{
-    out.write(reinterpret_cast<const char *>(&value), sizeof(value));
-}
-
-/** Hand-craft a version-1 record (no signature trailer). */
-void
-putV1Record(std::ostream &out, const std::string &label,
-            std::uint32_t sources, std::uint64_t universe,
-            std::initializer_list<std::uint32_t> positions)
-{
-    put<std::uint32_t>(out, static_cast<std::uint32_t>(label.size()));
-    out.write(label.data(),
-              static_cast<std::streamsize>(label.size()));
-    put<std::uint32_t>(out, sources);
-    put<std::uint64_t>(out, universe);
-    put<std::uint64_t>(out, positions.size());
-    for (auto p : positions)
-        put<std::uint32_t>(out, p);
-}
-
-/** Hand-craft a version-2 record: the v1 record plus its MinHash
- *  signature under default parameters. */
-void
-putV2Record(std::ostream &out, const std::string &label,
-            std::uint32_t sources, std::uint64_t universe,
-            std::initializer_list<std::uint32_t> positions)
-{
-    putV1Record(out, label, sources, universe, positions);
-    BitVec bits(universe);
-    for (auto p : positions)
-        bits.set(p);
-    for (auto h : minhashSignature(bits, MinHashParams{}))
-        put<std::uint32_t>(out, h);
-}
-
-/** Hand-craft a stream header: magic, @p version, the minhash
- *  header under default parameters (v2 only), @p count. */
-void
-putHeader(std::ostream &out, std::uint32_t version, std::uint64_t count)
-{
-    out.write("PCDB", 4);
-    put<std::uint32_t>(out, version);
-    if (version == 2) {
-        const MinHashParams prm;
-        put<std::uint32_t>(out, prm.numHashes);
-        put<std::uint32_t>(out, prm.bands);
-        put<std::uint64_t>(out, prm.seed);
-    }
-    put<std::uint64_t>(out, count);
 }
 
 /** Hand-craft a complete version-1 stream (pre-index format). */

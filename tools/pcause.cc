@@ -199,6 +199,11 @@ cmdCharacterize(const Args &args)
         store = std::move(*loaded);
     }
     const Fingerprint fp = characterize(outputs, exact);
+    if (!store.empty() && fp.bits().size() != store.universeBits())
+        fatal("characterize: the outputs span %zu bits; %s holds "
+              "%llu-bit records",
+              fp.bits().size(), db_path.c_str(),
+              static_cast<unsigned long long>(store.universeBits()));
     store.add(label, fp);
     if (!saveStore(store, db_path))
         fatal("characterize: cannot write %s", db_path.c_str());
