@@ -91,14 +91,15 @@ Batcher::drainLoop()
             const std::vector<IdentifyVerdict> verdicts =
                 svc.identifyBatch(strings,
                                   batch[start].req.options);
-            for (std::size_t i = start; i < end; ++i)
-                batch[i].reply.set_value(verdicts[i - start]);
-
+            // Counted before any reply is delivered, so a caller
+            // that has its verdict sees it in served().
             {
                 std::lock_guard<std::mutex> lock(m);
                 servedCount += end - start;
                 ++batchCount;
             }
+            for (std::size_t i = start; i < end; ++i)
+                batch[i].reply.set_value(verdicts[i - start]);
             start = end;
         }
     }
